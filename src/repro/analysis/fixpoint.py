@@ -237,6 +237,11 @@ class FixpointEngine:
             raise AnalysisInterrupted(
                 exc.reason, str(exc), partial_states=dict(states),
                 iterations=counters["iterations"]) from exc
+        finally:
+            # The two mutually recursive closures reference each other
+            # through their cells; left intact, the cycle keeps every
+            # node's state alive until the cyclic collector runs.
+            solve_loop = None
         return FixpointResult(states, counters["iterations"],
                               counters["widenings"], counters["narrowings"])
 

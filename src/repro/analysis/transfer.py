@@ -79,10 +79,9 @@ def eval_interval(
             candidates = []
             for a in (llo, lhi):
                 for b in (rlo, rhi):
-                    prod = a * b
-                    if prod != prod:  # 0 * inf -> nan: contributes 0
-                        prod = 0.0
-                    candidates.append(prod)
+                    # 0 * inf contributes 0; multiplying would make a nan
+                    # (and numpy scalars warn about it).
+                    candidates.append(0.0 if a == 0 or b == 0 else a * b)
             return (min(candidates), max(candidates))
     raise TypeError(f"cannot evaluate {expr!r}")
 

@@ -1,11 +1,13 @@
 """Incremental closure (paper section 5.6).
 
-After an assignment or a constraint meet, only the inequalities
-involving one variable ``v`` are out of date; the rest of the DBM is
-still closed.  Closure can then be restored in quadratic time.  The
-paper describes it as one iteration of the outermost shortest-path loop
-(the pivot pair ``2v``/``2v+1``) plus a strengthening step; making that
-exact requires first bringing ``v``'s own lines up to date:
+After a constraint meet whose new edges all touch one variable ``v``
+(a test, or the interval-linearised constraints of a general linear
+assignment), only the inequalities involving ``v`` are out of date;
+the rest of the DBM is still closed.  Closure can then be restored in
+quadratic time.  The paper describes it as one iteration of the
+outermost shortest-path loop (the pivot pair ``2v``/``2v+1``) plus a
+strengthening step; making that exact requires first bringing ``v``'s
+own lines up to date:
 
 1. **Line refresh** -- two min-plus vector products compute the true
    shortest paths from ``+v`` and ``-v`` to everything, using the fact
@@ -20,7 +22,10 @@ exact requires first bringing ``v``'s own lines up to date:
 All candidates in each phase are computed from a consistent snapshot
 and written symmetrically, so coherence is preserved by construction.
 Total cost is ``O(n^2)``; equivalence with the full cubic closure on
-almost-closed inputs is property-tested.
+almost-closed inputs is property-tested.  Octagonal assignments
+(``v := +-w + c``, ``v := c``, ``v := [lo, hi]``) do not come here:
+:class:`~repro.core.octagon.Octagon` writes their closed result
+directly in ``O(n)``.
 """
 
 from __future__ import annotations

@@ -168,6 +168,9 @@ class AnalysisServer:
         self.idle_closed = 0
         self.connections = 0
         self.by_cmd: Dict[str, int] = {}
+        #: Analysis counters summed over every analyze request's own
+        #: deltas (work done, so warm requests add nothing).
+        self.analysis_counters: Dict[str, int] = {}
         self._latency: Dict[str, metrics.HistogramData] = {}
         self._analyze_ewma: Optional[float] = None
         #: HTTP observability facade (``None`` keeps it off).
@@ -516,6 +519,9 @@ class AnalysisServer:
                                   in sorted(counters.items()) if value}
         with self._lock:
             self._recent.append(record)
+            for name, value in record.get("counters", {}).items():
+                self.analysis_counters[name] = (
+                    self.analysis_counters.get(name, 0) + value)
         threshold = self.slow_request_ms
         if threshold is not None and elapsed * 1000.0 >= threshold:
             events.warning("serve_slow_request",
@@ -691,10 +697,11 @@ class AnalysisServer:
 
     def _counter_snapshot(self) -> Dict[str, int]:
         with self._lock:
-            counters = {"serve_requests": self.requests,
-                        "serve_errors": self.errors,
-                        "serve_connections": self.connections,
-                        "serve_idle_closed": self.idle_closed}
+            counters = dict(self.analysis_counters)
+            counters.update({"serve_requests": self.requests,
+                             "serve_errors": self.errors,
+                             "serve_connections": self.connections,
+                             "serve_idle_closed": self.idle_closed})
             counters.update({f"serve_errors_{cause}": count
                              for cause, count
                              in sorted(self.errors_by_cause.items())})

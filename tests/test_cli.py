@@ -121,6 +121,9 @@ class TestBatch:
                    for j in report["jobs"])
         assert all(j["compile_transfer"] is True for j in report["jobs"])
         assert report["jobs"][0]["label"] == str(a)
+        # x := [0, 4], y := x + 1 and z := 3 are closed-form assignments.
+        assert all(j["counters"]["assign_closed_form"] >= 1
+                   for j in report["jobs"])
 
     def test_batch_timeout_flag(self, tmp_path):
         a, b = self._sources(tmp_path)

@@ -115,3 +115,33 @@ class TestKnobs:
         pre = factory.from_box([(-INF, INF), (5.0, 6.0)])
         fix = FixpointEngine().analyze(cfg, factory, entry_state=pre)
         assert fix.at(cfg.exit).bounds(0) == (6.0, 7.0)
+
+
+class TestMemory:
+    def test_states_are_not_cyclic_garbage(self):
+        """Dropping a result frees every node's state at once: none of
+        them waits in a reference cycle for the cyclic collector."""
+        import gc
+
+        from repro.core.octagon import Octagon
+
+        source = """
+            i = 0;
+            while (i < 5) {
+              j = 0;
+              while (j < i) { j = j + 1; }
+              i = i + 1;
+            }
+        """
+        gc.collect()
+        gc.disable()
+        try:
+            solve(source)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            cyclic = [o for o in gc.garbage if isinstance(o, Octagon)]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert cyclic == []

@@ -265,7 +265,7 @@ class TestServer:
         from repro.obs.metrics import validate_prometheus_text
 
         with ServeClient(server.socket_path) as client:
-            client.analyze(TWO_PROCS)
+            cold = client.analyze(TWO_PROCS)
             client.analyze(TWO_PROCS)
             stats = client.stats()
             prom = client.metrics()
@@ -273,10 +273,15 @@ class TestServer:
         assert counters["serve_procs_computed"] == 2
         assert counters["serve_procs_memory"] == 2
         assert counters["serve_requests_analyze"] == 2
+        # Analysis counters sum per-request work: the warm pass adds 0.
+        closed_form = cold["result"]["counters"]["assign_closed_form"]
+        assert closed_form > 0
+        assert counters["assign_closed_form"] == closed_form
         assert any(key.startswith("serve_request_seconds|analyze")
                    for key in stats["latency"])
         assert validate_prometheus_text(prom) > 0
         assert "repro_serve_procs_memory_total 2" in prom
+        assert f"repro_assign_closed_form_total {closed_form}" in prom
 
     def test_parse_error_is_reported_and_survivable(self, server):
         with ServeClient(server.socket_path) as client:

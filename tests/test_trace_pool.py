@@ -19,6 +19,7 @@ The observability-plane PR's contract, end to end:
 import io
 import json
 import os
+import re
 import threading
 import urllib.error
 import urllib.request
@@ -185,6 +186,9 @@ class TestHTTPFacade:
         assert validate_prometheus_text(body) > 0
         assert "repro_serve_requests_total" in body
         assert "repro_serve_request_seconds" in body
+        closed_form = re.search(
+            r"^repro_assign_closed_form_total (\d+)$", body, re.M)
+        assert closed_form and int(closed_form.group(1)) >= 1
 
     def test_healthz_ok_and_statusz_shape(self, http_server):
         status, body = _get(http_server.http_port, "/healthz")

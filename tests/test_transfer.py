@@ -57,6 +57,24 @@ class TestEvalInterval:
         lo, hi = eval_interval(e, self.bounds, VARS)
         assert (lo, hi) == (0.0, 0.0)  # 0 * inf handled as 0
 
+    def test_zero_times_infinite_numpy_bound_is_silent(self):
+        """Octagon bounds are numpy scalars, where ``0 * inf`` warns."""
+        import warnings
+
+        import numpy as np
+
+        bounds = {0: (np.float64(0.0), np.float64(2.0)),
+                  1: (np.float64(-INF), np.float64(INF)),
+                  2: (np.float64(-3.0), np.float64(0.0))}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert eval_interval(BinOp("*", Var("x"), Var("y")),
+                                 bounds.__getitem__, VARS) == (-INF, INF)
+            assert eval_interval(BinOp("*", Var("x"), Var("z")),
+                                 bounds.__getitem__, VARS) == (-6.0, 0.0)
+            assert eval_interval(BinOp("*", Num(0.0), Var("y")),
+                                 bounds.__getitem__, VARS) == (0.0, 0.0)
+
     def test_negation(self):
         lo, hi = eval_interval(Neg(Var("x")), self.bounds, VARS)
         assert (lo, hi) == (-2.0, -1.0)
