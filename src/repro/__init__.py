@@ -15,15 +15,17 @@ The package provides:
 * ``repro.bench`` -- the measurement/reporting harness.
 """
 
+from ._lazy import lazy_exports
 from .core import (
     INF,
-    ApronOctagon,
     DbmKind,
     LinExpr,
     OctConstraint,
     Octagon,
     SwitchPolicy,
 )
+
+__getattr__ = lazy_exports(__name__, {"ApronOctagon": ".core.apron_octagon"})
 
 __version__ = "1.0.0"
 

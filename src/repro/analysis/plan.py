@@ -58,11 +58,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..core import stats
 from ..obs import metrics
-from ..core.apron_octagon import ApronOctagon
 from ..core.bounds import is_finite
 from ..core.constraints import LinExpr, OctConstraint
-from ..core.octagon import Octagon
-from ..domains.sparse_octagon import SparseOctagon
 from ..frontend.ast_nodes import (
     Assign, AssignInterval, Assume, BExpr, BoolLit, BoolOp, Cmp, Havoc, Not,
 )
@@ -100,9 +97,12 @@ def counters() -> Dict[str, int]:
     return dict(_COUNTS)
 
 
-# The DBM-backed octagon implementations whose ``assume_linear`` the
-# batched constraint path specialises exactly (canonical closed output).
-_BATCHABLE = (Octagon, ApronOctagon, SparseOctagon)
+# The DBM-backed octagon implementations, whose ``assume_linear`` the
+# batched constraint path specialises exactly (canonical closed output),
+# say so with the class attribute ``BATCHABLE``.  Testing an attribute
+# rather than a tuple of classes keeps the backends a run never meets
+# off the import graph.  The lookup is on the type, so a delegating
+# proxy (``workloads.traces.TracingState``) keeps the generic path.
 
 
 # ----------------------------------------------------------------------
@@ -218,7 +218,7 @@ def _batch_step(group: List[_Test]) -> Callable:
     saved = n_cons - 1
 
     def step(state, _c=_COUNTS):
-        if isinstance(state, _BATCHABLE):
+        if getattr(type(state), "BATCHABLE", False):
             if state.is_bottom():
                 return state.copy()
             _c["constraints_batched"] += n_cons
@@ -472,7 +472,7 @@ def _compile_assign(action: Assign, var_index: Dict[str, int]) -> Callable:
 
         def run_const(state, _c=_COUNTS):
             _c["plan_exec"] += 1
-            if isinstance(state, _BATCHABLE):
+            if getattr(type(state), "BATCHABLE", False):
                 return state.assign_const(v, const)
             return state.assign_linexpr(v, lin)
 
@@ -484,7 +484,7 @@ def _compile_assign(action: Assign, var_index: Dict[str, int]) -> Callable:
 
             def run_var(state, _c=_COUNTS):
                 _c["plan_exec"] += 1
-                if isinstance(state, _BATCHABLE):
+                if getattr(type(state), "BATCHABLE", False):
                     return state.assign_var(v, w, coeff=coeff, offset=offset)
                 return state.assign_linexpr(v, lin)
 

@@ -15,7 +15,7 @@ Public surface:
 * :mod:`repro.core.stats` -- instrumentation used by the benchmarks.
 """
 
-from .apron_octagon import ApronOctagon
+from .._lazy import lazy_exports
 from .bounds import INF, NEG_INF
 from .budget import Budget
 from .constraints import LinExpr, OctConstraint
@@ -23,6 +23,8 @@ from .kinds import DEFAULT_POLICY, DbmKind, SwitchPolicy
 from .octagon import Octagon
 from .partition import Partition
 from .sentinel import paranoid_enabled, set_paranoid
+
+__getattr__ = lazy_exports(__name__, {"ApronOctagon": ".apron_octagon"})
 
 __all__ = [
     "ApronOctagon",

@@ -88,6 +88,10 @@ class Octagon:
     __slots__ = ("n", "_cow", "partition", "nni", "closed", "_bottom",
                  "policy", "_ccache", "_ccache_version")
 
+    # ``assume_linear`` ends in the canonical closed form and
+    # ``assign_const``/``assign_var`` exist: see ``analysis/plan.py``.
+    BATCHABLE = True
+
     def __init__(
         self,
         n: int,

@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Type
 
 import numpy as np
 
-from .apron_octagon import ApronOctagon
 from .bounds import INF
 from .constraints import OctConstraint
 from .octagon import Octagon

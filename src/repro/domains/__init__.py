@@ -2,12 +2,17 @@
 plus a non-relational Interval (box) domain used as a cheap baseline
 and in examples."""
 
+from .._lazy import lazy_exports
 from .domain import (DOMAINS, AbstractDomain, ConfiguredOctagonFactory,
                      DomainFactory, get_domain)
 from .interval import Interval
-from .pentagon import Pentagon
-from .sparse_octagon import ConfiguredSparseOctagonFactory, SparseOctagon
-from .zone import Zone
+
+__getattr__ = lazy_exports(__name__, {
+    "ConfiguredSparseOctagonFactory": ".sparse_octagon",
+    "Pentagon": ".pentagon",
+    "SparseOctagon": ".sparse_octagon",
+    "Zone": ".zone",
+})
 
 __all__ = [
     "AbstractDomain",

@@ -16,11 +16,12 @@ pass a domain around as a value (e.g. ``get_domain("octagon")``).
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 from typing import Any, Dict, Protocol, Sequence, Tuple, runtime_checkable
 
-from ..core import ApronOctagon, Octagon
 from ..core.constraints import LinExpr, OctConstraint
+from ..core.octagon import Octagon
 
 
 @runtime_checkable
@@ -93,30 +94,31 @@ class ConfiguredOctagonFactory:
         return Octagon.from_box(bounds, policy=self.policy)
 
 
-def _build_registry() -> Dict[str, DomainFactory]:
-    from .interval import Interval
-    from .pentagon import Pentagon
-    from .sparse_octagon import SparseOctagon
-    from .zone import Zone
+# name -> (module relative to this package, class); a domain's module
+# is imported the first time the domain is asked for.
+_REGISTRY: Dict[str, Tuple[str, str]] = {
+    "octagon": ("..core.octagon", "Octagon"),
+    "apron": ("..core.apron_octagon", "ApronOctagon"),
+    "interval": (".interval", "Interval"),
+    "zone": (".zone", "Zone"),
+    "pentagon": (".pentagon", "Pentagon"),
+    "sparse-octagon": (".sparse_octagon", "SparseOctagon"),
+}
 
-    return {
-        "octagon": DomainFactory("octagon", Octagon),
-        "apron": DomainFactory("apron", ApronOctagon),
-        "interval": DomainFactory("interval", Interval),
-        "zone": DomainFactory("zone", Zone),
-        "pentagon": DomainFactory("pentagon", Pentagon),
-        "sparse-octagon": DomainFactory("sparse-octagon", SparseOctagon),
-    }
-
-
+#: The factories built so far, by name.
 DOMAINS: Dict[str, DomainFactory] = {}
 
 
 def get_domain(name: str) -> DomainFactory:
-    """Look up a factory: octagon | apron | interval | zone | pentagon."""
-    if not DOMAINS:
-        DOMAINS.update(_build_registry())
-    try:
-        return DOMAINS[name]
-    except KeyError:
-        raise KeyError(f"unknown domain {name!r}; available: {sorted(DOMAINS)}") from None
+    """Look up a factory: octagon | apron | interval | zone | pentagon |
+    sparse-octagon."""
+    factory = DOMAINS.get(name)
+    if factory is None:
+        try:
+            module, attr = _REGISTRY[name]
+        except KeyError:
+            raise KeyError(f"unknown domain {name!r}; "
+                           f"available: {sorted(_REGISTRY)}") from None
+        cls = getattr(importlib.import_module(module, __package__), attr)
+        factory = DOMAINS[name] = DomainFactory(name, cls)
+    return factory

@@ -79,6 +79,10 @@ class SparseOctagon:
     __slots__ = ("n", "cells", "snap", "closed", "_bottom", "policy",
                  "dense_mode", "_ccache", "_alias")
 
+    # ``assume_linear`` ends in the canonical closed form and
+    # ``assign_const``/``assign_var`` exist: see ``analysis/plan.py``.
+    BATCHABLE = True
+
     def __init__(
         self,
         n: int,

@@ -17,6 +17,9 @@ run opts in:
   wiring, and the ``python -m repro report`` renderer.
 """
 
-from . import collect, events, metrics, report, trace  # noqa: F401
+from .._lazy import lazy_exports
+from . import collect, events, metrics, trace  # noqa: F401
+
+__getattr__ = lazy_exports(__name__, {"report": ".report"})
 
 __all__ = ["collect", "events", "metrics", "report", "trace"]

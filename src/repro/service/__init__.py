@@ -26,12 +26,19 @@ runs.  This subsystem is that batch layer:
   the CLI (``python -m repro batch``) and the benchmark harness.
 """
 
+from .._lazy import lazy_exports
 from .cache import ResultCache
 from .job import AnalysisJob, CheckVerdict, JobResult, ProcedureSummary, execute_job
 from .journal import BatchJournal, batch_id
 from .scheduler import BatchResult, run_batch
-from .suite import run_suite, suite_jobs
-from .validate import CrossValidationReport, ProgramValidation, cross_validate
+
+__getattr__ = lazy_exports(__name__, {
+    "CrossValidationReport": ".validate",
+    "ProgramValidation": ".validate",
+    "cross_validate": ".validate",
+    "run_suite": ".suite",
+    "suite_jobs": ".suite",
+})
 
 __all__ = [
     "AnalysisJob",

@@ -18,8 +18,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
+
+# The whole compute path is imported here, eagerly: batch workers and
+# serve pool workers are forked from a process that imported this
+# module, so nothing ``execute_job`` runs is compiled again per child.
+from ..analysis.analyzer import Analyzer
+from ..core import kernels, stats
+from ..core.bounds import INF
+from ..obs import trace
+from ..testing import faults
 
 OUTCOME_OK = "ok"
 #: The analysis completed, but only after descending the precision
@@ -75,8 +85,6 @@ class AnalysisJob:
 
     def resolved_backend(self) -> str:
         """The concrete kernel backend this job will run under."""
-        from ..core import kernels
-
         return kernels.resolve(self.kernel_backend)
 
     @classmethod
@@ -256,8 +264,6 @@ class JobResult:
 
 
 def _bound(value: float) -> Optional[float]:
-    from ..core.bounds import INF
-
     if value == INF or value == -INF:
         return None
     return float(value)
@@ -270,13 +276,6 @@ def execute_job(job: AnalysisJob) -> JobResult:
     scheduler can apply its retry/error policy.  A fresh stats
     collector scopes the hot-path memory counters to this job.
     """
-    from contextlib import nullcontext
-
-    from ..analysis.analyzer import Analyzer
-    from ..core import kernels, stats
-    from ..obs import trace
-    from ..testing import faults
-
     if faults.fire("worker_kill", job.label):
         faults.kill_process()
 

@@ -2,12 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbm_strategies import block_dbms, coherent_dbms, make_coherent_dbm
 from repro.core.densemat import new_top
-from repro.core.partition import Partition, UnionFind
+from repro.core.partition import Partition, UnionFind, _connected_components
 
 
 class TestUnionFind:
@@ -18,6 +18,88 @@ class TestUnionFind:
         uf.union(1, 2)
         assert uf.find(0) == uf.find(2)
         assert uf.find(3) != uf.find(0)
+
+
+def _uf_groups(n, edges):
+    """Components of an undirected graph by union-find, listed by their
+    smallest vertex."""
+    uf = UnionFind(n)
+    for v, w in edges:
+        uf.union(v, w)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(uf.find(v), []).append(v)
+    return sorted(groups.values())
+
+
+def _label_groups(labels):
+    groups = {}
+    for v, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(v)
+    return sorted(groups.values())
+
+
+def _path(order):
+    """The undirected path visiting ``order``."""
+    adj = np.zeros((len(order), len(order)), dtype=bool)
+    adj[order[:-1], order[1:]] = True
+    return adj | adj.T
+
+
+@st.composite
+def adjacencies(draw, max_n: int = 200):
+    """Symmetric boolean adjacency matrices: random edge sets (with
+    self-loops and isolated vertices), complete graphs and paths in a
+    drawn vertex order."""
+    n = draw(st.integers(1, max_n))
+    shape = draw(st.sampled_from(["random", "complete", "path"]))
+    if shape == "complete":
+        return np.ones((n, n), dtype=bool)
+    if shape == "path":
+        return _path(draw(st.permutations(range(n))))
+    adj = np.zeros((n, n), dtype=bool)
+    vertex = st.integers(0, n - 1)
+    for v, w in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+        adj[v, w] = True
+    return adj | adj.T
+
+
+# A path whose neighbours' labels lie far apart: 0, 199, 1, 198, ...
+ZIGZAG_200 = [v for pair in zip(range(100), range(199, 99, -1)) for v in pair]
+
+
+class TestConnectedComponents:
+    """The numpy min-label kernel against the union-find reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjacencies())
+    def test_matches_union_find(self, adj):
+        n = adj.shape[0]
+        labels = _connected_components(adj)
+        edges = zip(*np.nonzero(adj))
+        assert _label_groups(labels) == _uf_groups(n, edges)
+        # Each component is labelled by its smallest vertex.
+        for group in _label_groups(labels):
+            assert set(labels[group].tolist()) == {group[0]}
+
+    @pytest.mark.parametrize("adj, labels", [
+        (_path(list(range(200))), [0] * 200),
+        (_path(ZIGZAG_200), [0] * 200),
+        (np.ones((200, 200), dtype=bool), [0] * 200),
+        (np.zeros((200, 200), dtype=bool), list(range(200))),
+        (np.eye(200, dtype=bool), list(range(200))),
+    ], ids=["path", "zigzag", "complete", "isolated", "self-loops"])
+    def test_extreme_shapes_200(self, adj, labels):
+        assert _connected_components(adj).tolist() == labels
+
+
+def _reference_blocks(m):
+    """``from_matrix`` by union-find over the finite off-diagonal DBM
+    entries, blocks listed by their smallest variable."""
+    edges = [(int(i) // 2, int(j) // 2)
+             for i, j in zip(*np.nonzero(np.isfinite(m))) if i != j]
+    support = {v for edge in edges for v in edge}
+    return [g for g in _uf_groups(m.shape[0] // 2, edges) if g[0] in support]
 
 
 class TestConstruction:
@@ -59,6 +141,11 @@ class TestExtraction:
     def test_diagonal_is_trivial(self):
         p = Partition.from_matrix(new_top(3))
         assert p.is_empty()
+
+    @given(st.one_of(coherent_dbms(max_n=40),
+                     block_dbms().map(lambda data: data[0])))
+    def test_from_matrix_blocks_match_union_find(self, m):
+        assert Partition.from_matrix(m).blocks == _reference_blocks(m)
 
     @given(block_dbms())
     def test_extraction_respects_generator_blocks(self, data):

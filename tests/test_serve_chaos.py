@@ -390,16 +390,23 @@ class TestServeConnChaos:
         try:
             blocker = ServeClient(srv.socket_path, timeout=120)
             shed = ServeClient(srv.socket_path, retries=0)
+            watcher = ServeClient(srv.socket_path)
             try:
                 background = threading.Thread(
                     target=blocker.analyze, args=(source,), daemon=True)
                 background.start()
                 deadline = time.monotonic() + 30
+                # Probe only once the blocker holds the one slot: a probe
+                # sent earlier could be admitted first and get the blocker
+                # shed instead.  ``status`` bypasses admission.
+                while (watcher.status()["inflight"] < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
                 caught = None
                 while time.monotonic() < deadline and caught is None:
                     try:
                         shed.analyze(TWO_PROCS)
-                        time.sleep(0.01)  # blocker not admitted yet
+                        time.sleep(0.01)  # the slot freed before the probe
                     except ServeError as exc:
                         caught = exc
                 assert caught is not None, "no shed observed"
@@ -409,6 +416,7 @@ class TestServeConnChaos:
             finally:
                 blocker.close()
                 shed.close()
+                watcher.close()
         finally:
             self._teardown(srv, thread)
 
