@@ -4,17 +4,16 @@ working tree.
 Usage (from anywhere inside the repository)::
 
     python3 benchmarks/ab.py --base HEAD~1
-    python3 benchmarks/ab.py --base main --pairs 10 --workloads procedural \\
-        --json ab.json
+    python3 benchmarks/ab.py --base main --pairs 8 --workloads procedural
 
 The base commit is checked out with ``git worktree`` under a fresh
 temporary directory and removed again at the end.  The change is the
 working tree this script lives in, committed or not.
 
 Pair ``i`` runs ``perfbench/run.py --seed i --trace 0`` once on base and
-once on change for every workload, each in its own tree; even pairs run
-base first, odd pairs change first, so host drift does not favour one
-side.  For every end-to-end metric of ``BENCHMARK.json`` the script
+once on change for every workload, each in its own tree and for
+``BENCHMARK.json``'s ``run_seconds``; even pairs run base first, odd
+pairs change first, so host drift does not favour one side.  For every end-to-end metric of ``BENCHMARK.json`` the script
 prints, per workload, the median and interquartile range (IQR) of each
 side, the median change in percent and the number of pairs the change
 won.  A run that reports a failed answer is counted and shown.
@@ -107,16 +106,11 @@ def main(argv=None) -> int:
                              "uses seed i")
     parser.add_argument("--workloads", nargs="+", choices=WORKLOADS,
                         default=list(WORKLOADS))
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="seconds per run (default: BENCHMARK.json's "
-                             "run_seconds)")
-    parser.add_argument("--json", default=None,
-                        help="also write every run's result line here")
     args = parser.parse_args(argv)
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sha = git("rev-parse", "--verify", args.base + "^{commit}")
     scratch = tempfile.mkdtemp(prefix="repro-ab-")
     base_tree = os.path.join(scratch, f"base-{sha[:12]}")
@@ -143,10 +137,6 @@ def main(argv=None) -> int:
     print(f"base {sha[:12]} vs working tree: {args.pairs} interleaved "
           f"pairs, {seconds:g} s per run")
     print_table(summarize(spec, runs), runs)
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump({"base": sha, "seconds": seconds, "runs": runs}, fh,
-                      indent=1)
     return 0
 
 

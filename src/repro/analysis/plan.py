@@ -98,8 +98,9 @@ def counters() -> Dict[str, int]:
 
 
 # The DBM-backed octagon implementations, whose ``assume_linear`` the
-# batched constraint path specialises exactly (canonical closed output),
-# say so with the class attribute ``BATCHABLE``.  Testing an attribute
+# batched constraint path specialises exactly (canonical closed output)
+# and which provide ``assign_const``/``assign_var``, say so with the
+# class attribute ``BATCHABLE``.  Testing an attribute
 # rather than a tuple of classes keeps the backends a run never meets
 # off the import graph.  The lookup is on the type, so a delegating
 # proxy (``workloads.traces.TracingState``) keeps the generic path.

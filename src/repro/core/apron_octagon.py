@@ -108,9 +108,7 @@ class ApronOctagon:
 
     __slots__ = ("n", "half", "closed", "_bottom", "_ccache")
 
-    # ``assume_linear`` ends in the canonical closed form and
-    # ``assign_const``/``assign_var`` exist: see ``analysis/plan.py``.
-    BATCHABLE = True
+    BATCHABLE = True  # see analysis/plan.py
 
     def __init__(self, n: int, half: HalfMat, *, closed: bool = False,
                  bottom: bool = False):

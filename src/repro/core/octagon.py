@@ -88,9 +88,7 @@ class Octagon:
     __slots__ = ("n", "_cow", "partition", "nni", "closed", "_bottom",
                  "policy", "_ccache", "_ccache_version")
 
-    # ``assume_linear`` ends in the canonical closed form and
-    # ``assign_const``/``assign_var`` exist: see ``analysis/plan.py``.
-    BATCHABLE = True
+    BATCHABLE = True  # see analysis/plan.py
 
     def __init__(
         self,

@@ -3,8 +3,8 @@ plus a non-relational Interval (box) domain used as a cheap baseline
 and in examples."""
 
 from .._lazy import lazy_exports
-from .domain import (DOMAINS, AbstractDomain, ConfiguredOctagonFactory,
-                     DomainFactory, get_domain)
+from .domain import (AbstractDomain, ConfiguredOctagonFactory, DomainFactory,
+                     get_domain)
 from .interval import Interval
 
 __getattr__ = lazy_exports(__name__, {
@@ -19,7 +19,6 @@ __all__ = [
     "ConfiguredOctagonFactory",
     "ConfiguredSparseOctagonFactory",
     "DomainFactory",
-    "DOMAINS",
     "get_domain",
     "Interval",
     "Pentagon",

@@ -105,14 +105,14 @@ _REGISTRY: Dict[str, Tuple[str, str]] = {
     "sparse-octagon": (".sparse_octagon", "SparseOctagon"),
 }
 
-#: The factories built so far, by name.
-DOMAINS: Dict[str, DomainFactory] = {}
+# The factories built so far, by name.
+_FACTORIES: Dict[str, DomainFactory] = {}
 
 
 def get_domain(name: str) -> DomainFactory:
     """Look up a factory: octagon | apron | interval | zone | pentagon |
     sparse-octagon."""
-    factory = DOMAINS.get(name)
+    factory = _FACTORIES.get(name)
     if factory is None:
         try:
             module, attr = _REGISTRY[name]
@@ -120,5 +120,5 @@ def get_domain(name: str) -> DomainFactory:
             raise KeyError(f"unknown domain {name!r}; "
                            f"available: {sorted(_REGISTRY)}") from None
         cls = getattr(importlib.import_module(module, __package__), attr)
-        factory = DOMAINS[name] = DomainFactory(name, cls)
+        factory = _FACTORIES[name] = DomainFactory(name, cls)
     return factory

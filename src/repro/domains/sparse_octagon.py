@@ -79,9 +79,7 @@ class SparseOctagon:
     __slots__ = ("n", "cells", "snap", "closed", "_bottom", "policy",
                  "dense_mode", "_ccache", "_alias")
 
-    # ``assume_linear`` ends in the canonical closed form and
-    # ``assign_const``/``assign_var`` exist: see ``analysis/plan.py``.
-    BATCHABLE = True
+    BATCHABLE = True  # see analysis/plan.py
 
     def __init__(
         self,

@@ -85,10 +85,11 @@ class TestConnectedComponents:
     @pytest.mark.parametrize("adj, labels", [
         (_path(list(range(200))), [0] * 200),
         (_path(ZIGZAG_200), [0] * 200),
+        (_path([0] + list(range(199, 0, -1))), [0] * 200),
         (np.ones((200, 200), dtype=bool), [0] * 200),
         (np.zeros((200, 200), dtype=bool), list(range(200))),
         (np.eye(200, dtype=bool), list(range(200))),
-    ], ids=["path", "zigzag", "complete", "isolated", "self-loops"])
+    ], ids=["path", "zigzag", "hub-reversed", "complete", "isolated", "self-loops"])
     def test_extreme_shapes_200(self, adj, labels):
         assert _connected_components(adj).tolist() == labels
 
