@@ -74,15 +74,11 @@ def cmd_analyze(args) -> int:
     _apply_paranoid(args)
     if len(args.files) > 1:
         return _analyze_many(args)
-    from .core import kernels
-
-    kernels.use(args.kernel_backend)
     with open(args.files[0]) as fh:
         source = fh.read()
     analyzer = Analyzer(domain=args.domain,
                         widening_delay=args.widening_delay,
                         compile_transfer=not args.no_compile,
-                        sparse_threshold=args.sparse_threshold,
                         **_budget_kwargs(args))
     ctx = _run_context(args)
     result = analyzer.analyze(source,
@@ -131,8 +127,6 @@ def _analyze_many(args) -> int:
     jobs = jobs_from_files(args.files, domain=args.domain,
                            widening_delay=args.widening_delay,
                            compile_transfer=not args.no_compile,
-                           kernel_backend=args.kernel_backend,
-                           sparse_threshold=args.sparse_threshold,
                            telemetry=_telemetry(args),
                            **_budget_kwargs(args))
     batch = run_batch(jobs, workers=args.jobs)
@@ -190,29 +184,18 @@ def _finish_batch_run(args, batch) -> None:
 
 
 def _batch_cross_validate(args, jobs) -> int:
-    """``batch --cross-validate``: dense vs sparse differential run."""
+    """``batch --cross-validate``: octagon vs apron differential run."""
     import json as _json
 
     from .service.validate import cross_validate
 
-    report = cross_validate(jobs, sparse_threshold=args.sparse_threshold)
+    report = cross_validate(jobs)
     width = max((len(p.label) for p in report.programs), default=0)
-    print(f"{'program':{width}s}  {'ok':>2s}  {'sparsity':>8s}  "
-          f"{'cells d/s':>18s}  {'ratio':>6s}  {'peakB d/s':>18s}  "
-          f"{'ratio':>6s}")
+    print(f"{'program':{width}s}  {'ok':>2s}  {'octagon s':>9s}  "
+          f"{'apron s':>9s}")
     for prog in report.programs:
-        sp = prog.sparsity
-        cr, br = prog.cell_ratio(), prog.peak_bytes_ratio()
-        cd = prog.dense.counters.get("closure_cells", 0)
-        cs = prog.sparse.counters.get("closure_cells", 0)
-        pd = prog.dense.counters.get("dbm_peak_bytes", 0)
-        ps = prog.sparse.counters.get("dbm_peak_bytes", 0)
         print(f"{prog.label:{width}s}  {'ok' if prog.ok else 'XX':>2s}  "
-              f"{sp if sp is not None else float('nan'):8.3f}  "
-              f"{cd:>8d}/{cs:<9d}  "
-              f"{cr if cr is not None else float('nan'):5.1f}x  "
-              f"{pd:>8d}/{ps:<9d}  "
-              f"{br if br is not None else float('nan'):5.1f}x")
+              f"{prog.octagon.seconds:9.3f}  {prog.apron.seconds:9.3f}")
         for mismatch in prog.mismatches:
             print(f"  MISMATCH {mismatch}")
     n_bad = len(report.failures)
@@ -238,15 +221,11 @@ def cmd_batch(args) -> int:
             return 2
         jobs = suite_jobs(args.scale, domain=args.domain,
                           compile_transfer=not args.no_compile,
-                          kernel_backend=args.kernel_backend,
-                          sparse_threshold=args.sparse_threshold,
                           telemetry=_telemetry(args),
                           **_budget_kwargs(args))
     elif args.files:
         jobs = jobs_from_files(args.files, domain=args.domain,
                                compile_transfer=not args.no_compile,
-                               kernel_backend=args.kernel_backend,
-                               sparse_threshold=args.sparse_threshold,
                                telemetry=_telemetry(args),
                                **_budget_kwargs(args))
     else:
@@ -298,10 +277,7 @@ def cmd_batch(args) -> int:
         print(f"cache: {batch.cache_hits} hits, {batch.cache_misses} misses, "
               f"{cache.evictions} evictions ({cache.dir})")
     if batch.transport.get("bytes_shipped"):
-        print(f"transport: {batch.transport['bytes_shipped']} B over pipes, "
-              f"{batch.transport.get('bytes_zero_copy', 0)} B zero-copy "
-              f"({batch.transport.get('shm_blocks_attached', 0)} shm "
-              f"segment(s))")
+        print(f"transport: {batch.transport['bytes_shipped']} B over pipes")
 
     if args.json:
         from .core.serialize import job_result_to_dict
@@ -388,13 +364,11 @@ def cmd_bench(args) -> int:
 
 
 def cmd_suite(_args) -> int:
-    from .core import kernels
     from .service.cache import default_cache_root
     from .workloads import BENCHMARKS
 
     # The same resolved configuration the server reports on `status`,
     # so CLI and daemon can be checked for agreement.
-    print(f"kernel backend: {kernels.resolve(None)}")
     print(f"cache dir: {default_cache_root()}")
     print(f"{'benchmark':14s} {'analyzer':8s} {'nmin':>5s} {'nmax':>5s} "
           f"{'#closures':>9s} {'oct speedup':>11s}")
@@ -505,10 +479,6 @@ def cmd_client(args) -> int:
                 options = {"domain": args.domain,
                            "widening_delay": args.widening_delay,
                            "compile_transfer": not args.no_compile}
-                if args.kernel_backend is not None:
-                    options["kernel_backend"] = args.kernel_backend
-                if args.sparse_threshold is not None:
-                    options["sparse_threshold"] = args.sparse_threshold
                 for key, value in _budget_kwargs(args).items():
                     if value is not None:
                         options[key] = value
@@ -576,14 +546,6 @@ def main(argv=None) -> int:
                        help="DBM-cell (closure traffic) budget per "
                             "procedure attempt")
 
-    def add_kernel_flags(p) -> None:
-        p.add_argument("--kernel-backend", default=None,
-                       choices=["auto", "numpy", "numba"],
-                       help="closure-kernel backend (default: "
-                            "REPRO_KERNEL_BACKEND or 'auto'; 'auto' uses "
-                            "numba when it imports and warm-compiles, else "
-                            "the numpy reference)")
-
     def add_telemetry_flags(p) -> None:
         p.add_argument("--trace", default=None, metavar="OUT",
                        help="record spans and write Chrome trace-event "
@@ -601,23 +563,14 @@ def main(argv=None) -> int:
         p.add_argument("-q", "--quiet", action="store_true",
                        help="errors only on stderr")
 
-    def _sparse_flags(p):
-        p.add_argument("--sparse-threshold", type=float, default=None,
-                       metavar="T",
-                       help="sparsity ratio above which the sparse-octagon "
-                            "domain keeps the graph representation "
-                            "(0..1; default: domain policy)")
-
     p = sub.add_parser("analyze", help="analyze one or more source files")
     add_robustness_flags(p)
-    add_kernel_flags(p)
     add_telemetry_flags(p)
     p.add_argument("files", nargs="+", metavar="FILE")
     p.add_argument("--domain", default="octagon",
-                   choices=["octagon", "sparse-octagon", "apron", "interval",
-                            "zone", "pentagon"])
+                   choices=["octagon", "apron", "interval", "zone",
+                            "pentagon"])
     p.add_argument("--widening-delay", type=int, default=2)
-    _sparse_flags(p)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes when analyzing several files "
                         "(default: cpu count)")
@@ -637,13 +590,12 @@ def main(argv=None) -> int:
                    choices=["small", "paper", "large"],
                    help="suite scale (default: REPRO_BENCH_SCALE or paper)")
     p.add_argument("--domain", default="octagon",
-                   choices=["octagon", "sparse-octagon", "apron", "interval",
-                            "zone", "pentagon"])
-    _sparse_flags(p)
+                   choices=["octagon", "apron", "interval", "zone",
+                            "pentagon"])
     p.add_argument("--cross-validate", action="store_true",
-                   help="run every program under both the dense and the "
-                        "sparse octagon backend and fail on any verdict "
-                        "or bound disagreement")
+                   help="run every program under both the octagon and "
+                        "the apron domain and fail on any verdict or "
+                        "bound disagreement")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes (default: cpu count; 1 = inline)")
     p.add_argument("--timeout", type=float, default=None,
@@ -670,7 +622,6 @@ def main(argv=None) -> int:
                         "earlier (killed) run of this batch; only "
                         "unfinished jobs re-run")
     add_robustness_flags(p)
-    add_kernel_flags(p)
     add_telemetry_flags(p)
     p.set_defaults(func=cmd_batch)
 
@@ -784,10 +735,9 @@ def main(argv=None) -> int:
                    help="source files (analyze action)")
     add_endpoint_flags(p)
     p.add_argument("--domain", default="octagon",
-                   choices=["octagon", "sparse-octagon", "apron", "interval",
-                            "zone", "pentagon"])
+                   choices=["octagon", "apron", "interval", "zone",
+                            "pentagon"])
     p.add_argument("--widening-delay", type=int, default=2)
-    _sparse_flags(p)
     p.add_argument("--no-compile", action="store_true",
                    help="interpret edge actions instead of compiled "
                         "transfer plans")
@@ -798,13 +748,12 @@ def main(argv=None) -> int:
                    help="client retries on transport faults and "
                         "'overloaded' sheds (default 2)")
     add_robustness_flags(p)
-    add_kernel_flags(p)
     p.set_defaults(func=cmd_client)
 
     p = sub.add_parser("demo", help="analyse the paper's Figure 2 example")
     p.add_argument("--domain", default="octagon",
-                   choices=["octagon", "sparse-octagon", "apron", "interval",
-                            "zone", "pentagon"])
+                   choices=["octagon", "apron", "interval", "zone",
+                            "pentagon"])
     p.set_defaults(func=cmd_demo)
 
     args = parser.parse_args(argv)

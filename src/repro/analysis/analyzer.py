@@ -35,7 +35,6 @@ from .transfer import apply_assume
 #: become unknown instead of verified.
 LADDER = {
     "octagon": ("octagon", "zone", "interval"),
-    "sparse-octagon": ("sparse-octagon", "zone", "interval"),
     "apron": ("apron", "zone", "interval"),
     "zone": ("zone", "interval"),
     "pentagon": ("pentagon", "interval"),
@@ -126,10 +125,6 @@ class Analyzer:
     #: Descend the precision ladder on budget exhaustion instead of
     #: propagating :class:`~repro.errors.AnalysisInterrupted`.
     degrade: bool = True
-    #: Sparsity threshold for the ``sparse-octagon`` domain's
-    #: graph-vs-dense representation switch (``None`` keeps the domain
-    #: default).  Ignored by the other domains.
-    sparse_threshold: Optional[float] = None
 
     def _factory(self) -> DomainFactory:
         if isinstance(self.domain, str):
@@ -149,17 +144,8 @@ class Analyzer:
                       max_cells=self.cell_budget)
 
     def _rung_factory(self, rung: Union[str, DomainFactory]):
-        """Resolve a ladder rung to a factory, honouring the configured
-        sparsity threshold for the graph-backed octagon."""
-        if not isinstance(rung, str):
-            return rung
-        if rung == "sparse-octagon" and self.sparse_threshold is not None:
-            from ..core.kinds import GraphPolicy
-            from ..domains.sparse_octagon import ConfiguredSparseOctagonFactory
-            return ConfiguredSparseOctagonFactory(
-                GraphPolicy(threshold=self.sparse_threshold),
-                name="sparse-octagon")
-        return get_domain(rung)
+        """Resolve a ladder rung to a factory."""
+        return get_domain(rung) if isinstance(rung, str) else rung
 
     def _rungs(self) -> List[Union[str, DomainFactory]]:
         """The domains to try for each procedure, most precise first."""

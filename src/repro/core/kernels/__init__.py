@@ -1,31 +1,9 @@
-"""Pluggable native-speed kernel backends (ROADMAP item 3).
+"""The closure kernels: one named entry point per hot numeric kernel.
 
 The closure kernels are where the cycles are -- the paper's own claim,
 and the reason PRs 1/3 attacked their memory layer and call frequency.
-What remained was the *scalar bound*: every kernel was NumPy, so every
-dense sweep paid interpreted ufunc dispatch and every scalar baseline
-paid the Python interpreter loop.  This package puts the hot kernels
-behind one dispatch point with interchangeable backends:
-
-* ``numpy`` -- the existing vectorised kernels, now the *reference
-  implementation*.  Always available, always correct.
-* ``numba`` -- ``@njit``-compiled transcriptions of the same loops,
-  including a thread-tiled dense closure (``prange`` over matrix rows
-  per pivot).  Every numba kernel mirrors the NumPy kernel's float
-  operation order and NaN semantics exactly, so the two backends
-  produce **bit-identical** DBM matrices (differentially tested in
-  ``tests/test_kernel_backends.py``).
-* ``auto`` -- ``numba`` if it imports *and* a warm-up compile succeeds,
-  else ``numpy``.
-
-Selection: ``REPRO_KERNEL_BACKEND`` (environment) or
-``--kernel-backend`` (CLI), resolved lazily on first kernel call.  A
-requested backend that cannot be used falls back to ``numpy`` with a
-visible one-line event (``kernel_backend_fallback``) and a bump of the
-``kernel_fallbacks`` counter -- the system never hard-fails because an
-accelerator is missing.
-
-The registered kernels (one dispatch table per backend):
+Every caller reaches them through this module, so one place counts
+them and one place can be timed from outside:
 
 ====================  =====================================================
 ``dense_closure``      full coherent-DBM closure (shortest path +
@@ -40,250 +18,93 @@ The registered kernels (one dispatch table per backend):
 ``apron_closure``      the scalar APRON baseline closure on the half layout
 ====================  =====================================================
 
-Cache-key honesty: the *resolved* backend name participates in the
-batch job key (:meth:`repro.service.job.AnalysisJob.options`), so a
-result computed by ``numba`` is never served to a ``numpy`` request
-even though the matrices are bit-identical -- the key stays an honest
-description of how the result was computed.
+Each entry point is its own function that calls the NumPy
+implementation, so wrapping one (a profiler, the benchmark's layer
+table) never touches the implementation object other modules import.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Optional
 
-from ...obs import events, metrics
-from ..stats import OpCounter  # noqa: F401  (re-exported for backends)
+from ...obs import metrics
+from ..closure_apron import closure_apron
+from ..closure_dense import closure_dense_numpy, shortest_path_dense_numpy
+from ..closure_incremental import incremental_closure as _incremental_closure
+from ..closure_sparse import closure_sparse, shortest_path_sparse
+from ..densemat import count_nni as _count_nni
+from ..stats import OpCounter
+from ..strengthen import strengthen_numpy, strengthen_sparse_numpy
 
-BACKEND_NUMPY = "numpy"
-BACKEND_NUMBA = "numba"
-BACKEND_AUTO = "auto"
-
-BACKENDS = (BACKEND_AUTO, BACKEND_NUMPY, BACKEND_NUMBA)
-
-#: The kernels every backend table must provide.
-KERNELS = (
-    "dense_closure",
-    "dense_shortest_path",
-    "sparse_shortest_path",
-    "sparse_closure",
-    "strengthen_sparse",
-    "incremental_closure",
-    "strengthen",
-    "count_nni",
-    "apron_closure",
-)
-
-# Kernel invocations are counted in module globals, like the COW clone
+# Kernel invocations are counted in a module global, like the COW clone
 # counters: kernels fire tens of thousands of times per analysis, so
 # per-event collector dispatch would be measurable overhead on the very
-# path this package exists to speed up (collectors snapshot the globals
-# and report deltas via ``stats.register_counter_source``).
-_CALLS: Dict[str, int] = {BACKEND_NUMPY: 0, BACKEND_NUMBA: 0}
-_FALLBACKS = 0
+# path it counts (collectors snapshot the global and report deltas via
+# ``stats.register_counter_source``).
+_CALLS = 0
 
-metrics.register_counter_source(
-    lambda: {"kernel_calls_numpy": _CALLS[BACKEND_NUMPY],
-             "kernel_calls_numba": _CALLS[BACKEND_NUMBA],
-             "kernel_fallbacks": _FALLBACKS})
-
-metrics.REGISTRY.counter("kernel_calls_numpy",
-                         "Kernel invocations served by the numpy backend")
-metrics.REGISTRY.counter("kernel_calls_numba",
-                         "Kernel invocations served by the numba backend")
-metrics.REGISTRY.counter(
-    "kernel_calls", "Total kernel invocations across backends",
-    derive=lambda m: (m.get("kernel_calls_numpy", 0)
-                      + m.get("kernel_calls_numba", 0)))
-metrics.REGISTRY.counter(
-    "kernel_fallbacks",
-    "Kernel backend requests that fell back to the numpy reference")
+metrics.register_counter_source(lambda: {"kernel_calls": _CALLS})
+metrics.REGISTRY.counter("kernel_calls", "Closure-kernel invocations")
 
 
-# ----------------------------------------------------------------------
-# backend resolution
-# ----------------------------------------------------------------------
-_TABLES: Dict[str, Dict[str, object]] = {}
-_active_name: Optional[str] = None
-_active_table: Optional[Dict[str, object]] = None
-#: Why numba is unusable (None = usable, "" = not yet probed).
-_numba_error: Optional[str] = ""
-#: Requested names whose fallback was already announced (resolution is
-#: deterministic per process, and ``resolve`` runs on every job-key
-#: computation -- the event and counter fire once per name, not per call).
-_announced: set = set()
-
-
-def _numpy_table() -> Dict[str, object]:
-    table = _TABLES.get(BACKEND_NUMPY)
-    if table is None:
-        from . import numpy_backend
-
-        table = numpy_backend.TABLE
-        _register(BACKEND_NUMPY, table)
-    return table
-
-
-def _probe_numba() -> Optional[str]:
-    """Import + warm-up compile the numba backend.
-
-    Returns None when usable (table registered), else a one-line reason.
-    The result is memoized: probing compiles kernels, which is seconds
-    of work we only ever want to pay once per process.
-    """
-    global _numba_error
-    if _numba_error != "":
-        return _numba_error
-    try:
-        from . import numba_backend
-
-        numba_backend.warmup()
-        _register(BACKEND_NUMBA, numba_backend.TABLE)
-        _numba_error = None
-    except Exception as exc:  # ImportError, compile errors, LLVM issues
-        _numba_error = f"{type(exc).__name__}: {exc}"
-    return _numba_error
-
-
-def _register(name: str, table: Dict[str, object]) -> None:
-    missing = [k for k in KERNELS if k not in table]
-    if missing:
-        raise ValueError(f"backend {name!r} is missing kernels: {missing}")
-    _TABLES[name] = table
-
-
-def default_backend() -> str:
-    """The process default: ``REPRO_KERNEL_BACKEND`` or ``auto``."""
-    return os.environ.get("REPRO_KERNEL_BACKEND", BACKEND_AUTO)
-
-
-def resolve(name: Optional[str] = None) -> str:
-    """Resolve a requested backend to the concrete one that will run.
-
-    ``None``/``""`` means the process default.  ``auto`` resolves to
-    ``numba`` when it is importable and warm-compiles, else ``numpy``.
-    An explicit ``numba`` request that cannot be satisfied *also*
-    resolves to ``numpy`` (graceful fallback), with a visible warning
-    event and a ``kernel_fallbacks`` bump.  Resolution is deterministic
-    within a process, which is what lets the resolved name serve as a
-    cache-key component.
-    """
-    global _FALLBACKS
-    name = name or default_backend()
-    if name == BACKEND_NUMPY:
-        return BACKEND_NUMPY
-    if name not in BACKENDS:
-        raise ValueError(f"unknown kernel backend {name!r} "
-                         f"(choose from {', '.join(BACKENDS)})")
-    reason = _probe_numba()
-    if reason is None:
-        return BACKEND_NUMBA
-    if name not in _announced:
-        _announced.add(name)
-        if name == BACKEND_NUMBA:
-            # Explicit request denied: visible, counted, but not fatal.
-            _FALLBACKS += 1
-            events.warning("kernel_backend_fallback", requested=name,
-                           actual=BACKEND_NUMPY, reason=reason)
-        else:  # auto: expected selection, but still say it once, quietly
-            events.info("kernel_backend_fallback", requested=name,
-                        actual=BACKEND_NUMPY, reason=reason)
-    return BACKEND_NUMPY
-
-
-def use(name: Optional[str] = None) -> str:
-    """Activate a backend (resolving ``auto``); returns the active name."""
-    global _active_name, _active_table
-    resolved = resolve(name)
-    _active_name = resolved
-    _active_table = (_numpy_table() if resolved == BACKEND_NUMPY
-                     else _TABLES[BACKEND_NUMBA])
-    return resolved
-
-
-def active_backend() -> str:
-    """The backend serving kernel calls (resolves the default lazily)."""
-    if _active_name is None:
-        use(None)
-    return _active_name  # type: ignore[return-value]
-
-
-def available_backends() -> List[str]:
-    """Concrete backends usable in this process (numpy always first)."""
-    out = [BACKEND_NUMPY]
-    if _probe_numba() is None:
-        out.append(BACKEND_NUMBA)
-    return out
-
-
-def numba_unavailable_reason() -> Optional[str]:
-    """Why numba cannot be used here (None when it can)."""
-    return _probe_numba()
-
-
-@contextmanager
-def backend(name: str) -> Iterator[str]:
-    """Run a block under one backend (tests, differential benches)."""
-    previous = active_backend()
-    resolved = use(name)
-    try:
-        yield resolved
-    finally:
-        use(previous)
-
-
-def _table() -> Dict[str, object]:
-    global _CALLS
-    if _active_table is None:
-        use(None)
-    _CALLS[_active_name] += 1  # type: ignore[index]
-    return _active_table  # type: ignore[return-value]
-
-
-# ----------------------------------------------------------------------
-# dispatch points (one per registered kernel)
-# ----------------------------------------------------------------------
 def dense_closure(m, counter: Optional[OpCounter] = None) -> bool:
     """Full dense closure on a coherent DBM, in place; True iff empty."""
-    return _table()["dense_closure"](m, counter)
+    global _CALLS
+    _CALLS += 1
+    return closure_dense_numpy(m, counter)
 
 
 def dense_shortest_path(m, counter: Optional[OpCounter] = None) -> None:
     """Shortest-path step only (decomposed component submatrices)."""
-    return _table()["dense_shortest_path"](m, counter)
+    global _CALLS
+    _CALLS += 1
+    return shortest_path_dense_numpy(m, counter)
 
 
 def sparse_shortest_path(m, counter: Optional[OpCounter] = None) -> int:
     """Index-driven shortest path; returns the candidate-update count."""
-    return _table()["sparse_shortest_path"](m, counter)
+    global _CALLS
+    _CALLS += 1
+    return shortest_path_sparse(m, counter)
 
 
 def sparse_closure(m, counter: Optional[OpCounter] = None) -> bool:
     """Sparse closure (index-driven + sparse strengthening)."""
-    return _table()["sparse_closure"](m, counter)
+    global _CALLS
+    _CALLS += 1
+    return closure_sparse(m, counter)
 
 
 def strengthen_sparse(m) -> int:
     """Finite-diagonal strengthening; returns the update count."""
-    return _table()["strengthen_sparse"](m)
+    global _CALLS
+    _CALLS += 1
+    return strengthen_sparse_numpy(m)
 
 
 def incremental_closure(m, v: int, counter: Optional[OpCounter] = None) -> bool:
     """Quadratic re-closure after changes confined to variable ``v``."""
-    return _table()["incremental_closure"](m, v, counter)
+    global _CALLS
+    _CALLS += 1
+    return _incremental_closure(m, v, counter)
 
 
 def strengthen(m) -> None:
     """Full vectorised strengthening on a coherent DBM, in place."""
-    return _table()["strengthen"](m)
+    global _CALLS
+    _CALLS += 1
+    strengthen_numpy(m)
 
 
 def count_nni(m) -> int:
     """Finite entries of the stored half (the paper's ``nni`` pass)."""
-    return _table()["count_nni"](m)
+    global _CALLS
+    _CALLS += 1
+    return _count_nni(m)
 
 
 def apron_closure(half, counter: Optional[OpCounter] = None) -> bool:
     """The APRON baseline closure on a :class:`HalfMat`; True iff empty."""
-    return _table()["apron_closure"](half, counter)
+    global _CALLS
+    _CALLS += 1
+    return closure_apron(half, counter)

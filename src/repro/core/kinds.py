@@ -31,10 +31,6 @@ class DbmKind(Enum):
     DECOMPOSED = "decomposed"
     SPARSE = "sparse"
     DENSE = "dense"
-    #: Constraint-graph representation (``domains/sparse_octagon.py``):
-    #: finite cells live in a dict keyed by canonical half positions, no
-    #: (2n)^2 matrix is materialised at all.
-    GRAPH = "graph"
 
     def __str__(self) -> str:  # nicer benchmark output
         return self.value
@@ -75,52 +71,3 @@ class SwitchPolicy:
 
 #: The default policy used throughout the library (paper's t = 3/4).
 DEFAULT_POLICY = SwitchPolicy()
-
-
-@dataclass(frozen=True)
-class GraphPolicy:
-    """Representation switching for the graph-sparse octagon backend.
-
-    The graph representation (:class:`~repro.domains.sparse_octagon.
-    SparseOctagon`) measures its *stored* sparsity ``D = 1 - (2n + cells)
-    / (2n^2 + 2n)`` -- the fraction of canonical half positions that are
-    not explicitly materialised.  Closures run on the constraint graph
-    while ``D >= threshold``; below it, the representation has densified
-    enough that per-component graph closure stops paying for its
-    bookkeeping, and closure falls back to one dense kernel sweep over a
-    materialised matrix (the result is *reduced* back to cells either
-    way, so the switch is invisible to clients).
-
-    ``hysteresis`` keeps the choice sticky: once a DBM has gone dense it
-    returns to graph closures only when sparsity recovers to
-    ``threshold + hysteresis``, so a DBM oscillating around the
-    threshold does not thrash between strategies.
-    """
-
-    threshold: float = 0.5
-    hysteresis: float = 0.1
-
-    def sparsity(self, cells: int, n: int) -> float:
-        """Stored sparsity: fraction of half positions not materialised.
-
-        ``cells`` counts explicit finite binary cells; the ``2n`` unary
-        positions are always considered materialised (they are stored in
-        the unary snapshot), mirroring how the dense ``nni`` counts its
-        diagonal.
-        """
-        if n == 0:
-            return 0.0
-        return 1.0 - (2 * n + cells) / half_size(n)
-
-    def use_graph(self, cells: int, n: int, dense_mode: bool) -> bool:
-        """Should the next closure run on the graph? (with hysteresis)"""
-        if n == 0:
-            return True
-        sparsity = self.sparsity(cells, n)
-        if dense_mode:
-            return sparsity >= self.threshold + self.hysteresis
-        return sparsity >= self.threshold
-
-
-#: Default graph-backend policy (t = 1/2 with a 0.1 re-entry band).
-DEFAULT_GRAPH_POLICY = GraphPolicy()

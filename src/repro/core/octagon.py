@@ -68,9 +68,7 @@ metrics.REGISTRY.counter("closure_cache_hits",
                          "Closed forms served from the versioned cache")
 metrics.REGISTRY.counter("assign_closed_form",
                          "Assignments written in closed form on a closed DBM")
-# Closure traffic and DBM footprint, comparable across backends: the
-# graph-sparse octagon (domains/sparse_octagon.py) bumps the same names
-# at its own closure boundaries, so a differential run reads one table.
+# Closure traffic and DBM footprint, recorded at closure boundaries.
 metrics.REGISTRY.counter("closure_cells",
                          "DBM cells charged by closure kernels; incremental "
                          "re-closures and closed-form assignments charge 8n")
@@ -327,8 +325,7 @@ class Octagon:
         if trace.enabled():  # skip the args dict on the disabled path
             trace.emit("closure", start, start + elapsed,
                        args={"n": self.n, "kind": str(kind),
-                             "components": components,
-                             "backend": kernels.active_backend()})
+                             "components": components})
         if empty:
             self._become_bottom()
         else:
@@ -339,10 +336,10 @@ class Octagon:
         _sentinel.check(self)
 
     def _record_footprint(self) -> None:
-        """High-water gauges at a closure boundary, comparable with the
-        graph backend's: the dense representation always holds the full
-        ``(2n)^2`` matrix at 8 bytes a cell (container overhead excluded
-        on both sides), and ``nni`` counts its finite half cells."""
+        """High-water gauges at a closure boundary: the representation
+        always holds the full ``(2n)^2`` matrix at 8 bytes a cell
+        (container overhead excluded), and ``nni`` counts its finite
+        half cells."""
         stats.bump_max("dbm_finite_cells", self.nni)
         stats.bump_max("dbm_half_size", half_size(self.n))
         stats.bump_max("dbm_peak_bytes", 8 * (2 * self.n) ** 2)
@@ -358,8 +355,7 @@ class Octagon:
         stats.record_closure(self.n, "incremental", elapsed, len(self.partition.blocks))
         if trace.enabled():  # skip the args dict on the disabled path
             trace.emit("closure_inc", start, start + elapsed,
-                       args={"n": self.n, "v": v,
-                             "backend": kernels.active_backend()})
+                       args={"n": self.n, "v": v})
         if empty:
             self._become_bottom()
             return

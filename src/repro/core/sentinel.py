@@ -162,66 +162,10 @@ def _validate_closure_cache(oct_) -> None:
               f"{cc.mat[i, j]!r} > {oct_.mat[i, j]!r}")
 
 
-def validate_sparse_octagon(oct_) -> None:
-    """Audit the structural invariants of a graph-form octagon.
-
-    The graph representation has no coherence mirror or ``nni`` to
-    check (keys are canonical by construction and counts are derived),
-    so the audit validates what *can* silently rot: key canonicality
-    and range, the snapshot's shape, sentinel placement, the closed
-    form's no-sentinel/no-unary-cell normal form, and -- the expensive
-    part -- certification of a ``closed`` claim on the materialised
-    matrix with the exact same fixpoint check the dense backend gets.
-
-    Deliberately *not* checked: that finite cells stay below their
-    snapshot-implied values.  Threshold widening legitimately bumps a
-    stored cell above the (stale) implied bound; ``val()`` stays
-    correct because an explicit cell always wins.
-    """
-    global _CHECKS
-    _CHECKS += 1
-
-    n = oct_.n
-    size = 2 * n
-    for (r, s) in oct_.cells:
-        if not (0 <= r < size and 0 <= s < size):
-            _fail("key-range", f"cell key ({r},{s}) outside 2n={size}")
-        if s > (r | 1) or r == s:
-            _fail("key-canonical", f"cell key ({r},{s}) not canonical")
-    if oct_.snap is not None and len(oct_.snap) != size:
-        _fail("snapshot", f"snapshot length {len(oct_.snap)} for n={n}")
-    if oct_.snap is None:
-        for key, value in oct_.cells.items():
-            if not np.isfinite(value):
-                _fail("sentinel", f"INF sentinel at {key} without a snapshot")
-    if oct_._bottom:
-        if oct_.cells or oct_.snap is not None:
-            _fail("bottom", "bottom octagon still stores cells/snapshot")
-        return
-    if oct_.closed:
-        for key, value in oct_.cells.items():
-            if not np.isfinite(value):
-                _fail("closed-form", f"closed form keeps sentinel at {key}")
-            if key[0] ^ 1 == key[1]:
-                _fail("closed-form",
-                      f"closed form stores unary cell {key} outside the "
-                      f"snapshot")
-        _certify_closed(oct_.to_matrix(), n)
-
-
 def check(oct_) -> None:
-    """Hook called by mutating octagon operations; no-op unless paranoid.
-
-    Dispatches on representation: dense/COW octagons get the matrix
-    audit, graph-form octagons (dict of cells + unary snapshot) the
-    sparse audit.
-    """
+    """Hook called by mutating octagon operations; no-op unless paranoid."""
     if _ENABLED:
-        if hasattr(oct_, "_cow"):
-            validate_octagon(oct_)
-        else:
-            validate_sparse_octagon(oct_)
+        validate_octagon(oct_)
 
 
-__all__ = ["check", "paranoid_enabled", "set_paranoid", "validate_octagon",
-           "validate_sparse_octagon"]
+__all__ = ["check", "paranoid_enabled", "set_paranoid", "validate_octagon"]

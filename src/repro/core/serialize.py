@@ -140,13 +140,13 @@ def analysis_report(result) -> Dict:
 #: *not* serialised: spans ship over the worker pipe only).  v5 added
 #: ``kernel_backend`` (the concrete kernel backend the worker computed
 #: with -- a cache-key component, so the document must record it);
-#: ``dbms`` and ``shm_arena`` stay wire-only, like ``trace_events``.
-#: v6: job options (and therefore cache keys) gained
-#: ``sparse_threshold`` -- the graph-vs-dense switching knob of the
-#: ``sparse-octagon`` domain.  The result document's shape is
-#: unchanged, but v5 documents were keyed without the option, so they
-#: must not be served against v6 keys.
-JOB_RESULT_SCHEMA = 6
+#: ``dbms`` stays wire-only, like ``trace_events``.
+#: v6: job options (and therefore cache keys) gained the switching
+#: threshold of a second, graph-based octagon backend.  v7 removed that
+#: backend and the kernel backend choice: ``kernel_backend`` left the
+#: document and both knobs left the job options, so v6 entries -- keyed
+#: with them -- are evicted, never served.
+JOB_RESULT_SCHEMA = 7
 
 
 def job_result_to_dict(result) -> Dict:
@@ -185,7 +185,6 @@ def job_result_to_dict(result) -> Dict:
         "histograms": {str(k): dict(v)
                        for k, v in result.histograms.items()},
         "rungs": {str(k): str(v) for k, v in result.rungs.items()},
-        "kernel_backend": str(result.kernel_backend),
         "resumed": result.resumed,
     }
 
@@ -226,7 +225,6 @@ def job_result_from_dict(raw: Dict):
         histograms={str(k): dict(v)
                     for k, v in raw.get("histograms", {}).items()},
         rungs={str(k): str(v) for k, v in raw.get("rungs", {}).items()},
-        kernel_backend=str(raw.get("kernel_backend", "numpy")),
         cached=bool(raw.get("cached", False)),
         resumed=bool(raw.get("resumed", False)),
     )

@@ -42,7 +42,7 @@ def sparsity_ratio(counters) -> "float | None":
     """Peak sparsity ratio from a run's counter summary, or ``None``.
 
     Derived from the ``dbm_finite_cells`` / ``dbm_half_size`` high-water
-    gauges both octagon backends record at closure boundaries: the
+    gauges the octagon records at closure boundaries: the
     fraction of the half-matrix that stayed trivial at the densest
     moment of the run.  ``None`` when the run recorded no closures
     (e.g. a non-DBM domain).

@@ -8,20 +8,16 @@ from .domain import (AbstractDomain, ConfiguredOctagonFactory, DomainFactory,
 from .interval import Interval
 
 __getattr__ = lazy_exports(__name__, {
-    "ConfiguredSparseOctagonFactory": ".sparse_octagon",
     "Pentagon": ".pentagon",
-    "SparseOctagon": ".sparse_octagon",
     "Zone": ".zone",
 })
 
 __all__ = [
     "AbstractDomain",
     "ConfiguredOctagonFactory",
-    "ConfiguredSparseOctagonFactory",
     "DomainFactory",
     "get_domain",
     "Interval",
     "Pentagon",
-    "SparseOctagon",
     "Zone",
 ]

@@ -102,7 +102,6 @@ _REGISTRY: Dict[str, Tuple[str, str]] = {
     "interval": (".interval", "Interval"),
     "zone": (".zone", "Zone"),
     "pentagon": (".pentagon", "Pentagon"),
-    "sparse-octagon": (".sparse_octagon", "SparseOctagon"),
 }
 
 # The factories built so far, by name.
@@ -110,8 +109,7 @@ _FACTORIES: Dict[str, DomainFactory] = {}
 
 
 def get_domain(name: str) -> DomainFactory:
-    """Look up a factory: octagon | apron | interval | zone | pentagon |
-    sparse-octagon."""
+    """Look up a factory: octagon | apron | interval | zone | pentagon."""
     factory = _FACTORIES.get(name)
     if factory is None:
         try:

@@ -30,7 +30,7 @@ Cache tiers, checked in order per procedure:
 Invalidation is purely content-addressed: an edited procedure renders
 to different canonical source, gets a different key, and simply never
 matches the old entries (which age out of the LRU).  Option changes
-(domain, widening, budgets, kernel backend) enter the key the same
+(domain, widening, budgets) enter the key the same
 way.  Only ``ok`` results are cached -- degraded/timeout outcomes are
 re-attempted on every request, like the disk cache already does.
 
@@ -69,7 +69,7 @@ metrics.REGISTRY.counter("serve_ast_hits",
 REQUEST_OPTIONS = (
     "domain", "widening_delay", "narrowing_steps", "widening_thresholds",
     "integer_mode", "compile_transfer", "time_budget", "iteration_budget",
-    "cell_budget", "kernel_backend", "sparse_threshold",
+    "cell_budget",
 )
 
 TIERS = ("memory", "disk", "computed")
@@ -304,8 +304,6 @@ class IncrementalAnalyzer:
         rungs: Dict[str, str] = {}
         for r in results:
             rungs.update(r.rungs)
-        backend = (results[0].kernel_backend if results
-                   else whole.resolved_backend())
         # Work done by pool workers happened outside this thread's
         # collector; fold those results' own counters in so a cold
         # pooled request still reports its fixpoints and compiles
@@ -327,7 +325,6 @@ class IncrementalAnalyzer:
             procedures=[p for r in results for p in r.procedures],
             counters=counters,
             rungs=rungs,
-            kernel_backend=backend,
             cached=bool(results) and not fresh,
         )
 

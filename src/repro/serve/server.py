@@ -25,9 +25,8 @@ server-default deadline that clamps each procedure's time budget.
 
 Shutdown is a graceful drain: SIGTERM stops the accept loop, in-flight
 requests finish (bounded by ``drain_timeout``), the worker pool is
-retired, and the socket file and any shared-memory segments are swept
--- a SIGTERM mid-request leaves nothing behind (pinned by the chaos
-tests).
+retired, and the socket file is unlinked -- a SIGTERM mid-request
+leaves nothing behind (pinned by the chaos tests).
 """
 
 from __future__ import annotations
@@ -46,12 +45,10 @@ except ImportError:  # pragma: no cover -- non-POSIX platform
     fcntl = None
 
 from .. import __version__
-from ..core import kernels
 from ..core.serialize import job_result_to_dict
 from ..errors import AnalysisInterrupted, WorkerDied
 from ..frontend.parser import ParseError
 from ..obs import events, metrics, trace
-from ..service import transport
 from ..service.cache import ResultCache, default_cache_root
 from ..testing import faults
 from .httpd import ObservabilityHTTPD
@@ -296,13 +293,12 @@ class AnalysisServer:
                           lambda sig, frame: self.stop(f"signal {sig}"))
 
     def serve_forever(self) -> None:
-        """Accept until :meth:`stop`; always leaves no socket/shm litter.
+        """Accept until :meth:`stop`; always leaves no socket litter.
 
         The exit path is a graceful drain: in-flight requests finish
         (bounded by ``drain_timeout``; connections merely idle in a
         read do not count as in-flight), then the worker pool is
-        retired and every name this daemon could have left -- socket
-        file, shm segments -- is swept.
+        retired and the socket file is unlinked.
         """
         if self._listener is None:
             self.start()
@@ -332,7 +328,6 @@ class AnalysisServer:
                 except OSError:
                     pass
             self._release_lock()
-            transport.sweep_orphans()
             events.info("serve_stopped", requests=self.requests)
 
     def _drain(self) -> None:
@@ -581,7 +576,6 @@ class AnalysisServer:
     def _config(self) -> dict:
         """The resolved configuration ``status`` and the CLI both print."""
         return {
-            "kernel_backend": kernels.resolve(None),
             "cache_dir": (str(self.cache.root)
                           if self.cache is not None else None),
         }

@@ -6,19 +6,16 @@ its memory LRU -- down with it.  :class:`WorkerSupervisor` moves the
 *compute* tier into long-lived child processes while the memory and
 disk tiers stay in the parent:
 
-* **Process isolation.**  Jobs travel to workers over the PR 6
-  two-lane transport (:func:`repro.service.transport.send_payload`
-  with :func:`~repro.service.transport.wrap_job` envelopes); results
-  come back the same way, shared-memory lane included.  A worker that
-  segfaults, gets OOM-killed, or wedges costs one respawn, never the
-  daemon.
+* **Process isolation.**  Jobs travel to workers as protocol-5
+  pickle frames (:func:`repro.service.transport.send_payload`);
+  results come back the same way.  A worker that segfaults, gets
+  OOM-killed, or wedges costs one respawn, never the daemon.
 * **Supervision.**  One loop thread multiplexes every worker's result
   pipe and process sentinel through ``multiprocessing.connection.wait``
   (the PR 2 scheduler's pattern).  Workers heartbeat from a side
   thread; a busy worker that stops heartbeating is presumed wedged,
-  killed, and its job retried.  Dead workers are reaped, their
-  shared-memory segments swept (:func:`~repro.service.transport.
-  sweep_worker`), and respawned under capped exponential backoff.
+  killed, and its job retried.  Dead workers are reaped and respawned
+  under capped exponential backoff.
 * **Deadlines.**  A job dispatched with a deadline gets its
   ``time_budget`` clamped to the time remaining
   (:func:`repro.core.budget.clamp_to_deadline`), so the worker's own
@@ -91,12 +88,11 @@ def _worker_main(job_recv, res_send, hb_interval: float,
     beating while busy is wedged below Python, not merely slow.
     """
     pid = os.getpid()
-    segment = transport.segment_name(parent_pid, pid)
     send_lock = threading.Lock()
 
     def send(payload: tuple) -> None:
         with send_lock:
-            transport.send_payload(res_send, payload, segment=segment)
+            transport.send_payload(res_send, payload)
 
     stop_hb = threading.Event()
 
@@ -120,17 +116,12 @@ def _worker_main(job_recv, res_send, hb_interval: float,
 
     while True:
         try:
-            payload, arena = transport.recv_payload(job_recv, count=False)
+            payload = transport.recv_payload(job_recv, count=False)
         except (EOFError, OSError):
             break
-        try:
-            if payload[0] == "exit":
-                break
-            _, seq, wrapped, directives = payload
-            job, ctx = transport.unwrap_job_ctx(wrapped)
-        finally:
-            if arena is not None:
-                arena.release()
+        if payload[0] == "exit":
+            break
+        _, seq, job, ctx, directives = payload
         if ctx is not None and "trace" not in job.telemetry:
             # The dispatching daemon is tracing this request: arm the
             # job so execute_job opens a span session and returns the
@@ -164,7 +155,7 @@ class _PoolJob:
     """One submitted job's rendezvous between handler and loop thread."""
 
     __slots__ = ("job", "deadline", "seq", "attempts", "done", "result",
-                 "arena", "error", "fallback", "ctx")
+                 "error", "fallback", "ctx")
 
     def __init__(self, job: AnalysisJob, deadline: Optional[float],
                  seq: int,
@@ -176,7 +167,6 @@ class _PoolJob:
         self.attempts = 0
         self.done = threading.Event()
         self.result: Optional[JobResult] = None
-        self.arena = None
         self.error: Optional[BaseException] = None
         #: Set instead of a result when the submitter should execute
         #: inline: ``"expired"`` (deadline passed; synthesize degraded)
@@ -294,7 +284,7 @@ class WorkerSupervisor:
         worker.respawn_at = None
 
     def shutdown(self, timeout: float = 10.0) -> None:
-        """Stop the loop, retire every worker, sweep their segments."""
+        """Stop the loop and retire every worker."""
         if not self._started:
             return
         self._stopping.set()
@@ -308,8 +298,8 @@ class WorkerSupervisor:
                     crashes=self.counters["worker_crashes"])
 
     def _retire(self, worker: _Worker) -> None:
-        """Ask one worker to exit; escalate to terminate/kill; sweep."""
-        proc, pid = worker.proc, worker.pid
+        """Ask one worker to exit; escalate to terminate/kill."""
+        proc = worker.proc
         if proc is None:
             return
         try:
@@ -324,7 +314,6 @@ class WorkerSupervisor:
         if proc.is_alive():
             proc.kill()
             proc.join()
-        transport.sweep_worker(pid)
         worker.proc = None
         worker.state = _DEAD
 
@@ -371,9 +360,7 @@ class WorkerSupervisor:
             return self._inline(job, deadline), False
         if pool_job.error is not None:
             raise pool_job.error
-        result = pool_job.result
-        result.shm_arena = pool_job.arena
-        return result, True
+        return pool_job.result, True
 
     def _inline(self, job: AnalysisJob,
                 deadline: Optional[float]) -> JobResult:
@@ -543,9 +530,7 @@ class WorkerSupervisor:
         try:
             transport.send_payload(
                 worker.job_conn,
-                ("job", pool_job.seq,
-                 transport.wrap_job(job, pool_job.ctx), directives),
-                segment=transport.job_segment_name(os.getpid(), worker.pid),
+                ("job", pool_job.seq, job, pool_job.ctx, directives),
                 count_prefix="job_")
         except (OSError, ValueError):
             # Worker died before reading: the sentinel path reaps it
@@ -567,16 +552,15 @@ class WorkerSupervisor:
                 continue
             while worker.state != _DEAD and worker.res_conn.poll():
                 try:
-                    payload, arena = transport.recv_payload(worker.res_conn)
+                    payload = transport.recv_payload(worker.res_conn)
                 except (EOFError, OSError):
                     self._reap_crashed(worker)
                     break
-                self._handle_message(worker, payload, arena)
+                self._handle_message(worker, payload)
             if worker.state != _DEAD and not worker.proc.is_alive():
                 self._reap_crashed(worker)
 
-    def _handle_message(self, worker: _Worker, payload: tuple,
-                        arena) -> None:
+    def _handle_message(self, worker: _Worker, payload: tuple) -> None:
         kind = payload[0]
         worker.last_hb = time.monotonic()
         if kind in ("hb", "ready"):
@@ -589,7 +573,6 @@ class WorkerSupervisor:
         worker.fails = 0
         if kind == "done":
             pool_job.result = payload[2]
-            pool_job.arena = arena
             self._record_success()
             pool_job.resolve()
         else:  # "err": the job raised in the worker; worker is healthy
@@ -603,12 +586,11 @@ class WorkerSupervisor:
                 pool_job.resolve()
 
     def _reap_crashed(self, worker: _Worker) -> None:
-        """A worker died under supervision: reap, sweep, respawn, retry."""
+        """A worker died under supervision: reap, respawn, retry."""
         proc, pid = worker.proc, worker.pid
         exitcode = proc.exitcode
         proc.join()
         self._close_conns(worker)
-        transport.sweep_worker(pid)
         pool_job, worker.current = worker.current, None
         worker.proc = None
         worker.state = _DEAD
@@ -693,7 +675,6 @@ class WorkerSupervisor:
             proc.kill()
             proc.join()
         self._close_conns(worker)
-        transport.sweep_worker(pid)
         pool_job, worker.current = worker.current, None
         worker.proc = None
         worker.state = _DEAD

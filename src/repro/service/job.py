@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 # serve pool workers are forked from a process that imported this
 # module, so nothing ``execute_job`` runs is compiled again per child.
 from ..analysis.analyzer import Analyzer
-from ..core import kernels, stats
+from ..core import stats
 from ..core.bounds import INF
 from ..obs import trace
 from ..testing import faults
@@ -64,28 +64,14 @@ class AnalysisJob:
     time_budget: Optional[float] = None
     iteration_budget: Optional[int] = None
     cell_budget: Optional[int] = None
-    #: Sparsity threshold for the ``sparse-octagon`` domain's graph vs
-    #: dense representation switch (``None`` = the domain default).
-    #: Included in the cache key: it changes which representation (and
-    #: therefore which code path) produced the result.
-    sparse_threshold: Optional[float] = None
-    #: Kernel backend request (``auto``/``numpy``/``numba``; None = the
-    #: process default, i.e. ``REPRO_KERNEL_BACKEND`` or ``auto``).  The
-    #: *resolved* name is what enters the cache key.
-    kernel_backend: Optional[str] = None
-    #: Ship per-procedure exit DBMs back with the result (the payload
-    #: the zero-copy transport exists for).  Included in the cache key:
-    #: it changes what the result contains.
+    #: Ship per-procedure exit DBMs back with the result.  Included in
+    #: the cache key: it changes what the result contains.
     keep_invariants: bool = False
     #: Telemetry requested for this job's execution: any of ``"trace"``
     #: (record spans and ship them back with the result) and
     #: ``"metrics"`` (collect histogram distributions).  Observation
     #: only -- it cannot change the analysis result.
     telemetry: Tuple[str, ...] = ()
-
-    def resolved_backend(self) -> str:
-        """The concrete kernel backend this job will run under."""
-        return kernels.resolve(self.kernel_backend)
 
     @classmethod
     def for_procedure(cls, proc, **options) -> "AnalysisJob":
@@ -118,17 +104,11 @@ class AnalysisJob:
         result was computed.  The budgets are included too -- a tightly
         budgeted run can legitimately produce different (degraded)
         verdicts than an unbounded one, so they must not share a key.
-
-        ``kernel_backend`` enters in *resolved* form (``auto`` is a
-        request, not a computation): backends are differentially tested
-        bit-identical, but like ``compile_transfer`` the key records
-        how the result was actually produced.  ``keep_invariants``
-        changes the result's *content* (it adds the exit DBMs), so it
-        is a key component in the ordinary sense.
+        ``keep_invariants`` changes the result's *content* (it adds the
+        exit DBMs), so it is a key component in the ordinary sense.
         """
         return {
             "domain": self.domain,
-            "kernel_backend": self.resolved_backend(),
             "keep_invariants": bool(self.keep_invariants),
             "widening_delay": int(self.widening_delay),
             "narrowing_steps": int(self.narrowing_steps),
@@ -141,8 +121,6 @@ class AnalysisJob:
                                  else int(self.iteration_budget)),
             "cell_budget": (None if self.cell_budget is None
                             else int(self.cell_budget)),
-            "sparse_threshold": (None if self.sparse_threshold is None
-                                 else float(self.sparse_threshold)),
         }
 
     def key(self) -> str:
@@ -213,13 +191,10 @@ class JobResult:
     #: value below ``domain`` marks a ladder descent, ``"<top>"`` a
     #: full fall-through to synthesized top states.
     rungs: Dict[str, str] = field(default_factory=dict)
-    #: The concrete kernel backend the worker computed with.
-    kernel_backend: str = "numpy"
     #: Per-procedure exit DBMs (coherent ``float64`` matrices), present
     #: when the job ran with ``keep_invariants``.  Excluded from
     #: equality and from the JSON schema: array payloads ride the
-    #: worker pipe (ideally zero-copy) but are not part of the portable
-    #: result document.
+    #: worker pipe but are not part of the portable result document.
     dbms: Dict[str, object] = field(default_factory=dict, compare=False)
     cached: bool = field(default=False, compare=False)
     #: Served from a batch journal during ``--resume`` (like ``cached``,
@@ -230,11 +205,6 @@ class JobResult:
     #: spans onto the job's lane; deliberately *not* part of the JSON
     #: schema or equality -- telemetry is not part of the result.
     trace_events: List[dict] = field(default_factory=list, compare=False)
-    #: Shared-memory arena backing ``dbms`` (and any other out-of-band
-    #: buffer) when this result arrived over the zero-copy transport.
-    #: Parent-side bookkeeping only; the cache and journal go through
-    #: the JSON schema, which excludes it (and ``dbms``).
-    shm_arena: object = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -279,7 +249,6 @@ def execute_job(job: AnalysisJob) -> JobResult:
     if faults.fire("worker_kill", job.label):
         faults.kill_process()
 
-    backend = kernels.use(job.kernel_backend)
     analyzer = Analyzer(
         domain=job.domain,
         widening_delay=job.widening_delay,
@@ -290,7 +259,6 @@ def execute_job(job: AnalysisJob) -> JobResult:
         time_budget=job.time_budget,
         iteration_budget=job.iteration_budget,
         cell_budget=job.cell_budget,
-        sparse_threshold=job.sparse_threshold,
     )
     # Spans are recorded into a fresh session buffer: a forked worker
     # inherits the parent's buffer, so without the swap a job would ship
@@ -348,7 +316,6 @@ def execute_job(job: AnalysisJob) -> JobResult:
         op_calls=dict(collector.op_calls),
         histograms=collector.histograms_export(),
         rungs=rungs,
-        kernel_backend=backend,
         dbms=dbms,
         trace_events=session.events if session is not None else [],
     )

@@ -73,9 +73,9 @@ class BatchResult:
     #: Jobs served from the batch journal during ``--resume``.
     resumed: int = 0
     #: Parent-side transport counter deltas for this batch
-    #: (``bytes_shipped``, ``bytes_zero_copy``, ``shm_blocks_*``) --
-    #: measured where the pipes terminate, so they exist even for jobs
-    #: whose workers died mid-ship.
+    #: (``bytes_shipped``, ``job_bytes_shipped``) -- measured where the
+    #: pipes terminate, so they exist even for jobs whose workers died
+    #: mid-ship.
     transport: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -155,10 +155,9 @@ def _worker_main(job_conn, conn,
                  worker: Callable[[AnalysisJob], JobResult]) -> None:
     """Child-process entry: receive the job, run it, ship the outcome.
 
-    The job arrives over its own pipe through the transport envelope
-    (large source text rides the zero-copy lanes) instead of being
-    pickled into the ``Process`` args -- submission and results share
-    one wire format whatever the start method.
+    The job arrives over its own pipe instead of being pickled into the
+    ``Process`` args -- submission and results share one wire format
+    whatever the start method.
     """
     try:
         try:
@@ -280,7 +279,6 @@ def run_batch(
 
     events.info("batch_start", jobs=len(jobs), scheduled=len(pending),
                 workers=workers, cache_hits=cache_hits, resumed=resumed)
-    transport.sweep_orphans()
     transport_before = transport.transport_counters()
     with trace.span("batch", jobs=len(jobs), workers=workers):
         try:
@@ -367,7 +365,7 @@ def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
         deadline = None if timeout is None else time.monotonic() + timeout
         running[recv_conn] = _Running(proc, idx, attempt, deadline)
         try:
-            transport.send_job(job_send, jobs[idx], worker_pid=proc.pid)
+            transport.send_job(job_send, jobs[idx])
         except (BrokenPipeError, OSError):
             # The worker died before reading its job; the sentinel path
             # reaps it and applies the normal retry policy.
@@ -394,9 +392,6 @@ def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
         entry.proc.join()
         conn.close()
         del running[conn]
-        # A worker that died inside the send window may have created its
-        # shared-memory segment without the parent ever attaching it.
-        transport.sweep_worker(entry.proc.pid)
         if entry.attempt <= retries:
             events.warning("job_retry", label=jobs[entry.idx].label,
                            attempt=entry.attempt + 1,
@@ -440,8 +435,7 @@ def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
                 # The worker reported before exiting (possibly right at
                 # the deadline -- a delivered result beats a timeout).
                 try:
-                    message, arena = transport.recv_payload(conn)
-                    status, payload = message
+                    status, payload = transport.recv_payload(conn)
                 except EOFError:
                     entry.proc.join()
                     retry_or_fail(conn, entry,
@@ -449,7 +443,6 @@ def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
                     continue
                 if status == "ok":
                     payload.attempts = entry.attempt
-                    payload.shm_arena = arena
                     reap(conn, entry, payload)
                 else:  # the worker raised; retry, then report the traceback
                     retry_or_fail(conn, entry, payload)
@@ -463,6 +456,5 @@ def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
                 if entry.proc.is_alive():
                     entry.proc.kill()
                     entry.proc.join()
-                transport.sweep_worker(entry.proc.pid)
                 reap(conn, entry,
                      _timeout_result(jobs[entry.idx], timeout, entry.attempt))

@@ -1,47 +1,43 @@
-"""Cross-backend differential validation: sparse vs dense octagons.
+"""Differential validation: the octagon against the APRON-style baseline.
 
-The graph-backed :class:`~repro.domains.sparse_octagon.SparseOctagon`
-is differentially tested against the dense :class:`~repro.core.Octagon`
-at the operator level (bitwise DBM equality under randomised traces),
-but the property users actually rely on is end-to-end: *the same
-program analyses to the same verdicts and the same bounds whichever
-backend ran it*.  This module makes that property a first-class,
-runnable mode (``python -m repro batch --cross-validate``): every job
-is executed twice -- once per backend -- and the results are compared
-field by field.
+The optimised :class:`~repro.core.Octagon` is differentially tested
+against the scalar :class:`~repro.core.apron_octagon.ApronOctagon` at
+the operator level (``tests/test_octagon_vs_apron.py``), but the
+property users actually rely on is end-to-end: *the same program
+analyses to the same verdicts and the same bounds whichever
+implementation ran it*.  This module makes that property a
+first-class, runnable mode (``python -m repro batch --cross-validate``):
+every job is executed twice -- once per domain -- and the results are
+compared field by field.
 
 Comparison is exact, not approximate: verdict lists must be equal,
 per-procedure reachability must agree and every interval endpoint must
-be *identical* (the backends share the closure kernels and apply
-operations in the same order, so agreement to the last bit is the
-expectation; any drift is a bug, not noise).
+be *identical*; any drift is a bug, not noise.
 
 Caches are deliberately bypassed: a differential run must measure what
 the code computes today, and both executions happen in-process so the
-per-job counters (closure cell traffic, peak DBM bytes) are collected
-under identical conditions and can be reported side by side.
+per-job counters are collected under identical conditions.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core import stats
 from .job import AnalysisJob, JobResult, execute_job
 
-DENSE_DOMAIN = "octagon"
-SPARSE_DOMAIN = "sparse-octagon"
+OCTAGON_DOMAIN = "octagon"
+APRON_DOMAIN = "apron"
 
 
 @dataclass
 class ProgramValidation:
-    """Outcome of one program's dense-vs-sparse comparison."""
+    """Outcome of one program's octagon-vs-apron comparison."""
 
     label: str
-    dense: JobResult
-    sparse: JobResult
+    octagon: JobResult
+    apron: JobResult
     #: Human-readable descriptions of every disagreement (empty = match).
     mismatches: List[str] = field(default_factory=list)
 
@@ -49,37 +45,13 @@ class ProgramValidation:
     def ok(self) -> bool:
         return not self.mismatches
 
-    @property
-    def sparsity(self) -> Optional[float]:
-        """Peak sparsity ratio observed by the sparse run."""
-        return stats.sparsity_ratio(self.sparse.counters)
-
-    def cell_ratio(self) -> Optional[float]:
-        """Dense / sparse closure cell traffic (>1 = sparse cheaper)."""
-        dense = self.dense.counters.get("closure_cells", 0)
-        sparse = self.sparse.counters.get("closure_cells", 0)
-        return dense / sparse if sparse else None
-
-    def peak_bytes_ratio(self) -> Optional[float]:
-        """Dense / sparse peak DBM bytes (>1 = sparse smaller)."""
-        dense = self.dense.counters.get("dbm_peak_bytes", 0)
-        sparse = self.sparse.counters.get("dbm_peak_bytes", 0)
-        return dense / sparse if sparse else None
-
     def to_dict(self) -> Dict:
         return {
             "label": self.label,
             "ok": self.ok,
             "mismatches": list(self.mismatches),
-            "sparsity": self.sparsity,
-            "cell_ratio": self.cell_ratio(),
-            "peak_bytes_ratio": self.peak_bytes_ratio(),
-            "dense_seconds": self.dense.seconds,
-            "sparse_seconds": self.sparse.seconds,
-            "dense_closure_cells": self.dense.counters.get("closure_cells", 0),
-            "sparse_closure_cells": self.sparse.counters.get("closure_cells", 0),
-            "dense_peak_bytes": self.dense.counters.get("dbm_peak_bytes", 0),
-            "sparse_peak_bytes": self.sparse.counters.get("dbm_peak_bytes", 0),
+            "octagon_seconds": self.octagon.seconds,
+            "apron_seconds": self.apron.seconds,
         }
 
 
@@ -142,43 +114,34 @@ def compare_results(dense: JobResult, sparse: JobResult) -> List[str]:
     return mismatches
 
 
-def validate_job(job: AnalysisJob, *,
-                 sparse_threshold: Optional[float] = None) -> ProgramValidation:
-    """Run one program under both backends and compare.
+def validate_job(job: AnalysisJob) -> ProgramValidation:
+    """Run one program under both domains and compare.
 
     The job's own ``domain`` is ignored -- the comparison is always
-    dense octagon vs sparse octagon, with every other option (widening,
-    budgets, kernel backend) taken from the job unchanged so both runs
-    see the identical configuration.
+    octagon vs apron, with every other option (widening, budgets)
+    taken from the job unchanged so both runs see the identical
+    configuration.
     """
-    dense_job = dataclasses.replace(job, domain=DENSE_DOMAIN,
-                                    sparse_threshold=None)
-    sparse_job = dataclasses.replace(job, domain=SPARSE_DOMAIN,
-                                     sparse_threshold=sparse_threshold)
-    dense = execute_job(dense_job)
-    sparse = execute_job(sparse_job)
+    octagon = execute_job(dataclasses.replace(job, domain=OCTAGON_DOMAIN))
+    apron = execute_job(dataclasses.replace(job, domain=APRON_DOMAIN))
     return ProgramValidation(
         label=job.label or job.key()[:12],
-        dense=dense,
-        sparse=sparse,
-        mismatches=compare_results(dense, sparse),
+        octagon=octagon,
+        apron=apron,
+        mismatches=compare_results(octagon, apron),
     )
 
 
-def cross_validate(jobs: List[AnalysisJob], *,
-                   sparse_threshold: Optional[float] = None,
-                   ) -> CrossValidationReport:
+def cross_validate(jobs: List[AnalysisJob]) -> CrossValidationReport:
     """Differentially validate every job; see :func:`validate_job`."""
-    return CrossValidationReport(
-        [validate_job(job, sparse_threshold=sparse_threshold)
-         for job in jobs])
+    return CrossValidationReport([validate_job(job) for job in jobs])
 
 
 __all__ = [
+    "APRON_DOMAIN",
     "CrossValidationReport",
-    "DENSE_DOMAIN",
+    "OCTAGON_DOMAIN",
     "ProgramValidation",
-    "SPARSE_DOMAIN",
     "compare_results",
     "cross_validate",
     "validate_job",

@@ -189,23 +189,6 @@ def corrupt_octagon(oct_) -> None:
     m[3, 1] = 999.25
 
 
-def corrupt_sparse_octagon(oct_) -> None:
-    """Tighten one stored cell of a graph-form octagon in place.
-
-    The graph representation has no coherence mirror to break (keys are
-    canonical by construction), so corruption here is a silently
-    *wrong bound*: a stored cell strictly below its closed value, which
-    the sentinel's closed-claim certification must catch.  Bypasses the
-    cache-invalidation bookkeeping on purpose.
-    """
-    if oct_.cells:
-        oct_.cells[min(oct_.cells)] = -1234.5
-    elif oct_.snap is not None:
-        oct_.snap[0] = -1234.5
-    else:
-        raise ValueError("nothing stored to corrupt (top octagon)")
-
-
 def truncate_file(path: str, keep_bytes: Optional[int] = None) -> None:
     """Truncate a file the way a crash mid-write does.
 
@@ -222,7 +205,6 @@ __all__ = [
     "armed",
     "clear",
     "corrupt_octagon",
-    "corrupt_sparse_octagon",
     "fire",
     "fire_once",
     "inject",

@@ -18,7 +18,6 @@ import time
 import pytest
 
 from repro.obs import events
-from repro.service import transport
 from repro.service.cache import ResultCache
 from repro.service.job import AnalysisJob
 from repro.service.scheduler import run_batch
@@ -58,14 +57,6 @@ class TestFaultRegistry:
         assert "REPRO_FAULTS" not in os.environ
 
 
-def _shm_entries():
-    try:
-        return [e for e in os.listdir("/dev/shm")
-                if e.startswith(transport.SHM_PREFIX)]
-    except OSError:
-        return []
-
-
 class TestWorkerKill:
     def test_killed_worker_reported_dead_siblings_unharmed(self):
         jobs = [AnalysisJob(source=OK_SOURCE, label="bystander"),
@@ -80,59 +71,6 @@ class TestWorkerKill:
         assert victim.outcome == "error"
         assert "worker died" in victim.error
         assert victim.attempts == 2  # first run + one retry, both killed
-        assert _shm_entries() == []  # killed workers leak no segments
-
-    def test_killed_worker_segment_swept_not_leaked(self):
-        """A worker SIGKILLed *inside the send window* -- after creating
-        its shared-memory segment, before the parent attaches -- must
-        not leak the segment.  The fault kills the worker mid-job, so
-        we plant the segment the worker would have left (its
-        deterministic name) and assert the scheduler's reap path sweeps
-        it."""
-        from multiprocessing import resource_tracker, shared_memory
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no POSIX shm directory on this platform")
-        jobs = [AnalysisJob(source=OK_SOURCE, label="bystander"),
-                AnalysisJob(source=OK2_SOURCE, label="victim")]
-
-        planted = []
-        # Plant segments for every worker pid the batch reaps: wrap the
-        # sweep itself, seeding each pid with a leftover segment first.
-        real_sweep = transport.sweep_worker
-
-        def seeded_sweep(worker_pid, parent_pid=None):
-            seg = shared_memory.SharedMemory(
-                name=transport.segment_name(os.getpid(), worker_pid),
-                create=True, size=64)
-            resource_tracker.unregister(seg._name, "shared_memory")
-            seg.close()
-            planted.append(seg.name)
-            return real_sweep(worker_pid, parent_pid)
-
-        transport.sweep_worker = seeded_sweep
-        try:
-            with faults.injected("worker_kill", "victim"):
-                batch = run_batch(jobs, workers=2, retries=1)
-        finally:
-            transport.sweep_worker = real_sweep
-        assert batch.results[1].outcome == "error"
-        assert len(planted) >= 2  # one per killed attempt
-        assert _shm_entries() == []  # every planted segment was swept
-
-    def test_batch_start_sweeps_orphans_of_dead_batches(self):
-        from multiprocessing import resource_tracker, shared_memory
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no POSIX shm directory on this platform")
-        seg = shared_memory.SharedMemory(
-            name=transport.segment_name(999_997, 123), create=True, size=64)
-        resource_tracker.unregister(seg._name, "shared_memory")
-        seg.close()
-        assert _shm_entries() != []
-        with events.quiet_stderr():
-            run_batch([AnalysisJob(source=OK2_SOURCE, label="a")], workers=1)
-        assert _shm_entries() == []
 
 
 class TestCacheEnospc:
@@ -246,7 +184,7 @@ class TestSigkillResume:
 
 
 class TestServeSigterm:
-    """SIGTERM against the analysis daemon: no socket file, no shm."""
+    """SIGTERM against the analysis daemon: no stale socket file."""
 
     def _spawn_server(self, tmp_path):
         sock = tmp_path / "serve.sock"
@@ -285,7 +223,6 @@ class TestServeSigterm:
                 proc.kill()
                 proc.wait()
         assert not sock.exists()  # no stale socket file
-        assert _shm_entries() == []  # no leaked segments
 
     def test_restart_reclaims_stale_socket_file(self, tmp_path):
         """A crashed server's leftover socket file must not block the

@@ -1,10 +1,13 @@
 """The import-graph contract behind the analyzer's cold start.
 
 The default one-shot octagon path must not load the subsystems it never
-runs (scipy, the other octagon backends and domains, cross-validation,
-the report renderer, the benchmark-suite registry); every name those packages re-export must still
-resolve on first use.  Each check runs in a fresh interpreter, since the
-test session itself has long since imported everything.
+runs (scipy, the APRON baseline and the other domains, the backward
+analysis, cross-validation, the report renderer, the benchmark-suite
+registry); every name those packages re-export must still resolve on
+first use.  What the path does run -- the closure kernels included --
+loads with ``repro.service.job``, before batch and serve workers fork.
+Each check runs in a fresh interpreter, since the test session itself
+has long since imported everything.
 """
 
 import json
@@ -19,13 +22,22 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 #: Modules the default one-shot path must leave unloaded.
 OFF_PATH = (
     "scipy",
-    "repro.domains.sparse_octagon",
+    "repro.analysis.backward",
     "repro.core.apron_octagon",
     "repro.domains.zone",
     "repro.domains.pentagon",
     "repro.service.validate",
     "repro.obs.report",
     "repro.workloads",
+)
+
+#: Modules ``repro.service.job`` must load up front, so forked workers
+#: never compile them again.
+ON_PATH = (
+    "repro.core.closure_incremental",
+    "repro.core.closure_dense",
+    "repro.core.closure_sparse",
+    "repro.core.closure_apron",
 )
 
 SOURCE = """\
@@ -61,6 +73,15 @@ print(json.dumps([m for m in {OFF_PATH!r} if m in sys.modules]))
     assert json.loads(_run(code)) == []
 
 
+def test_job_module_loads_the_closure_kernels():
+    code = f"""
+import json, sys
+import repro.service.job
+print(json.dumps([m for m in {ON_PATH!r} if m not in sys.modules]))
+"""
+    assert json.loads(_run(code)) == []
+
+
 def test_analyze_cli_never_imports_scipy(tmp_path):
     path = tmp_path / "p.mini"
     path.write_text(SOURCE)
@@ -80,17 +101,19 @@ def test_lazy_names_resolve():
     code = """
 from repro import ApronOctagon
 from repro.core import ApronOctagon as CoreApron
-from repro.domains import (ConfiguredSparseOctagonFactory, Pentagon,
-                           SparseOctagon, Zone)
+from repro.analysis import (BackwardEngine, BackwardResult,
+                            necessary_precondition)
+from repro.domains import Pentagon, Zone
 from repro.service import (CrossValidationReport, ProgramValidation,
                            cross_validate, run_batch, run_suite, suite_jobs)
 from repro.obs import report
+import repro.analysis.backward as backward_mod
 import repro.core.apron_octagon as apron_mod
-import repro.domains.sparse_octagon as sparse_mod
 import repro.service.validate as validate_mod
 assert ApronOctagon is CoreApron is apron_mod.ApronOctagon
-assert SparseOctagon is sparse_mod.SparseOctagon
-assert ConfiguredSparseOctagonFactory is sparse_mod.ConfiguredSparseOctagonFactory
+assert BackwardEngine is backward_mod.BackwardEngine
+assert BackwardResult is backward_mod.BackwardResult
+assert necessary_precondition is backward_mod.necessary_precondition
 assert cross_validate is validate_mod.cross_validate
 assert len(suite_jobs(scale="small")) == 17 and callable(run_suite)
 assert callable(run_batch) and callable(report.render_report)
@@ -117,9 +140,8 @@ import json, sys
 from repro.domains.domain import get_domain
 loaded = {}
 others = {"repro.domains.zone", "repro.domains.pentagon",
-          "repro.core.apron_octagon", "repro.domains.sparse_octagon"}
-for name in ["interval", "zone", "pentagon", "apron", "sparse-octagon",
-             "octagon"]:
+          "repro.core.apron_octagon"}
+for name in ["interval", "zone", "pentagon", "apron", "octagon"]:
     before = others & set(sys.modules)
     factory = get_domain(name)
     assert factory is get_domain(name)
@@ -133,7 +155,6 @@ print(json.dumps(loaded))
         "zone": ["repro.domains.zone"],
         "pentagon": ["repro.domains.pentagon"],
         "apron": ["repro.core.apron_octagon"],
-        "sparse-octagon": ["repro.domains.sparse_octagon"],
         "octagon": [],
     }
 
@@ -141,5 +162,5 @@ print(json.dumps(loaded))
 def test_get_domain_unknown_name():
     from repro.domains import get_domain
 
-    with pytest.raises(KeyError, match="sparse-octagon"):
+    with pytest.raises(KeyError, match="pentagon"):
         get_domain("polyhedra")

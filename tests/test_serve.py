@@ -136,8 +136,10 @@ class TestFingerprint:
 class TestIncremental:
     def test_unknown_option_rejected(self):
         inc = IncrementalAnalyzer()
-        with pytest.raises(ValueError, match="unknown analyzer option"):
-            inc.analyze(TWO_PROCS, options={"wideningdelay": 3})
+        for removed in ({"wideningdelay": 3}, {"kernel_backend": "numpy"},
+                        {"sparse_threshold": 0.5}):
+            with pytest.raises(ValueError, match="unknown analyzer option"):
+                inc.analyze(TWO_PROCS, options=removed)
         assert normalize_options({"widening_thresholds": [1, 2]}) \
             == {"widening_thresholds": (1.0, 2.0)}
 
@@ -239,13 +241,11 @@ class TestServer:
         assert second["request_seconds"] < 1.0
 
     def test_status_reports_resolved_config(self, server):
-        from repro.core import kernels
-
         with ServeClient(server.socket_path) as client:
             status = client.status()
         # The same resolved configuration `python -m repro suite` prints
         # (pinned against drift in tests/test_cli.py).
-        assert status["kernel_backend"] == kernels.resolve(None)
+        assert "kernel_backend" not in status
         assert status["cache_dir"] == str(server.cache.root)
         assert status["address"].endswith("serve.sock")
         assert status["workers"] == 4
@@ -293,8 +293,15 @@ class TestServer:
 
     def test_unknown_option_round_trips_as_error(self, server):
         with ServeClient(server.socket_path) as client:
-            with pytest.raises(ServeError, match="unknown analyzer option"):
-                client.analyze(TWO_PROCS, options={"typo": 1})
+            for removed in ({"typo": 1}, {"kernel_backend": "numpy"},
+                            {"sparse_threshold": 0.5}):
+                with pytest.raises(ServeError,
+                                   match="unknown analyzer option"):
+                    client.analyze(TWO_PROCS, options=removed)
+            with pytest.raises(ServeError, match="unknown domain"):
+                client.analyze(TWO_PROCS, options={"domain": "sparse-octagon"})
+            assert client.ping()["pong"]  # the daemon kept serving
+            assert client.analyze(TWO_PROCS)["result"]["checks"]
 
     def test_shutdown_command_stops_and_unlinks(self, server):
         import os

@@ -8,12 +8,12 @@ the daemon, and assert the robustness contract of the supervisor PR:
   *correct* result (retry after respawn) or a structurally *degraded*
   one (deadline exceeded), never a hang or a crash of the daemon;
 * verdicts after recovery are identical to a clean run;
-* every recovery path leaves ``/dev/shm`` empty and the worker pool
-  healthy (respawn counters pin that the fault actually fired);
+* every recovery path leaves the worker pool healthy (respawn
+  counters pin that the fault actually fired);
 * overload sheds structured ``overloaded`` responses and client
   retries converge;
 * SIGTERM is a graceful drain: in-flight work completes, then the
-  socket file and shm are swept;
+  socket file is unlinked;
 * two daemons racing onto one socket path resolve to exactly one.
 """
 
@@ -55,12 +55,6 @@ def _slow_source(nvars: int = 130, loops: int = 200) -> str:
     return (f"proc p0 {{ {decls}; i = 0;"
             f" while (i < {loops}) {{ i = i + 1; {bumps} }}"
             f" assert (i >= {loops}); }}")
-
-
-def _shm_entries():
-    if not os.path.isdir("/dev/shm"):
-        return []
-    return [e for e in os.listdir("/dev/shm") if e.startswith("repro_shm")]
 
 
 def _verdicts(checks):
@@ -113,7 +107,6 @@ class TestSupervisor:
             assert sup.counter_summary()["worker_restarts"] >= 1
         finally:
             sup.shutdown()
-        assert _shm_entries() == []
 
     def test_hang_with_deadline_degrades(self):
         sup = self._sup(pool=1, deadline_grace=0.2)
@@ -132,7 +125,6 @@ class TestSupervisor:
             assert _verdicts(result2.checks) == _baseline_verdicts(TWO_PROCS)
         finally:
             sup.shutdown()
-        assert _shm_entries() == []
 
     def test_hang_without_deadline_reaped_by_heartbeat(self):
         sup = self._sup(pool=1, heartbeat_interval=0.1,
@@ -147,7 +139,6 @@ class TestSupervisor:
             assert sup.counter_summary()["worker_hangs"] >= 1
         finally:
             sup.shutdown()
-        assert _shm_entries() == []
 
     def test_lifecycle_events_carry_worker_identity(self):
         """Respawn/kill/retry diagnostics name the worker they concern:
@@ -228,7 +219,6 @@ class TestSupervisor:
             assert result2.outcome == "ok"
         finally:
             sup.shutdown()
-        assert _shm_entries() == []
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +235,6 @@ def pool_server(tmp_path):
     srv.stop()
     thread.join(timeout=30)
     assert not thread.is_alive()
-    assert _shm_entries() == []
 
 
 class TestServeWorkerChaos:
@@ -304,7 +293,6 @@ class TestServeConnChaos:
         srv.stop()
         thread.join(timeout=30)
         assert not thread.is_alive()
-        assert _shm_entries() == []
 
     def test_conn_reset_client_retry_converges(self, tmp_path):
         srv, thread = self._server(tmp_path)
@@ -460,7 +448,6 @@ class TestServeProcessChaos:
         assert proc.wait(timeout=60) == 0
         proc.stderr.close()
         assert not sock.exists()
-        assert _shm_entries() == []
 
     def test_startup_race_resolves_to_one_server(self, tmp_path):
         a, sock = self._spawn(tmp_path)
@@ -490,4 +477,3 @@ class TestServeProcessChaos:
                     p.wait()
                 p.stderr.close()
         assert not sock.exists()
-        assert _shm_entries() == []

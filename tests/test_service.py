@@ -72,6 +72,8 @@ class TestJobModel:
                                          domain="interval").key()
         assert base.key() != AnalysisJob(source=OK_SOURCE,
                                          widening_delay=5).key()
+        assert base.key() != AnalysisJob(source=OK_SOURCE,
+                                         keep_invariants=True).key()
 
     def test_execute_job_ok(self):
         job = AnalysisJob(source=OK_SOURCE, label="demo")
@@ -145,15 +147,25 @@ class TestResultCache:
         assert not path.exists()
 
     def test_stamp_mismatch_evicted(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        def old_version(entry):
+            entry["repro_version"] = "0.0.0"
+
+        def schema_6_with_kernel_backend(entry):
+            entry["result"]["schema"] = 6
+            entry["result"]["kernel_backend"] = "numpy"
+
         job = AnalysisJob(source=OK_SOURCE)
-        cache.put(job.key(), execute_job(job))
-        path = cache._path(job.key())
-        entry = json.loads(path.read_text())
-        entry["repro_version"] = "0.0.0"
-        path.write_text(json.dumps(entry))
-        assert cache.get(job.key()) is None
-        assert cache.evictions == 1
+        result = execute_job(job)
+        for i, stale in enumerate((old_version, schema_6_with_kernel_backend)):
+            cache = ResultCache(str(tmp_path / str(i)))
+            cache.put(job.key(), result)
+            path = cache._path(job.key())
+            entry = json.loads(path.read_text())
+            stale(entry)
+            path.write_text(json.dumps(entry))
+            assert cache.get(job.key()) is None, stale.__name__
+            assert (cache.misses, cache.evictions) == (1, 1), stale.__name__
+            assert not path.exists()
 
     def test_only_ok_results_stored(self, tmp_path):
         from repro.service.job import JobResult

@@ -1,31 +1,19 @@
-"""Tests for the zero-copy worker-result transport.
+"""Tests for the worker job/result transport.
 
-Covers both lanes of the envelope (inline protocol-5 and shared
-memory), the shm lifetime protocol (attach, immediate unlink, arena
-release), the janitors, the ablation switch, and the end-to-end
-property the module exists for: a parallel batch with
-``keep_invariants`` ships its DBMs through shared memory, the arrays
-arrive bit-identical to an inline run, and nothing is left in
-``/dev/shm`` afterwards.
+Every message crosses a pipe as one protocol-5 pickle frame.  Covers
+the round trip itself (plain data and NumPy arrays, small and large),
+the parent-side byte counters, and the end-to-end property the batch
+pool relies on: a parallel batch with ``keep_invariants`` ships its
+DBMs back bit-identical to an inline run.
 """
 
 import multiprocessing
-import os
 
 import numpy as np
-import pytest
 
 from repro.service import transport
 from repro.service.job import AnalysisJob
 from repro.service.scheduler import run_batch
-
-
-def _shm_entries():
-    try:
-        return [e for e in os.listdir("/dev/shm")
-                if e.startswith(transport.SHM_PREFIX)]
-    except OSError:
-        return []
 
 
 def _round_trip(payload):
@@ -41,114 +29,34 @@ def _round_trip(payload):
     proc.start()
     send_conn.close()
     try:
-        result, arena = transport.recv_payload(recv_conn)
+        return transport.recv_payload(recv_conn)
     finally:
         proc.join()
         recv_conn.close()
-    return result, arena
 
 
 class TestEnvelope:
     def test_small_payload_takes_inline_lane(self):
         before = transport.transport_counters()
-        payload, arena = _round_trip({"answer": 42, "text": "ok"})
+        payload = _round_trip({"answer": 42, "text": "ok"})
         after = transport.transport_counters()
         assert payload == {"answer": 42, "text": "ok"}
-        assert arena is None
         assert after["bytes_shipped"] > before["bytes_shipped"]
-        assert after["shm_blocks_created"] == before["shm_blocks_created"]
 
     def test_small_ndarray_stays_inline_but_round_trips(self):
         arr = np.arange(16, dtype=np.float64)
-        payload, arena = _round_trip(("ok", arr))
-        assert arena is None
+        payload = _round_trip(("ok", arr))
         assert np.array_equal(payload[1], arr)
 
-    def test_large_ndarray_takes_shm_lane(self):
+    def test_large_ndarray_round_trips_through_the_pipe(self):
         arr = np.arange(100_000, dtype=np.float64)  # 800 KB
         before = transport.transport_counters()
-        payload, arena = _round_trip(("ok", {"mat": arr}))
+        payload = _round_trip(("ok", {"mat": arr}))
         after = transport.transport_counters()
-        assert np.array_equal(payload[1]["mat"], arr)
-        assert arena is not None
-        assert arena.nbytes >= arr.nbytes
-        assert after["shm_blocks_created"] == before["shm_blocks_created"] + 1
-        assert after["shm_blocks_attached"] == before["shm_blocks_attached"] + 1
-        assert after["bytes_zero_copy"] - before["bytes_zero_copy"] >= arr.nbytes
-        # The pipe carried only the body + envelope, not the array.
-        assert after["bytes_shipped"] - before["bytes_shipped"] < arr.nbytes
-        # Unlink-after-attach: the name is already gone, the data lives.
-        assert _shm_entries() == []
-        assert float(payload[1]["mat"][12345]) == 12345.0
-        del payload
-        arena.release()
-
-    def test_zero_copy_disabled_forces_inline(self):
-        arr = np.arange(100_000, dtype=np.float64)
-        transport.set_zero_copy(False)
-        try:
-            before = transport.transport_counters()
-            payload, arena = _round_trip(("ok", arr))
-            after = transport.transport_counters()
-        finally:
-            transport.set_zero_copy(True)
-        assert arena is None
-        assert np.array_equal(payload[1], arr)
-        assert after["shm_blocks_created"] == before["shm_blocks_created"]
-        # The whole array crossed the pipe instead.
-        assert after["bytes_shipped"] - before["bytes_shipped"] >= arr.nbytes
-
-    def test_arena_release_tolerates_live_views(self):
-        arr = np.arange(100_000, dtype=np.float64)
-        payload, arena = _round_trip(("ok", arr))
-        held = payload[1]  # keep a view alive across release()
-        arena.release()  # BufferError path: must not raise
-        assert float(held[7]) == 7.0
-
-
-class TestJanitors:
-    def _plant(self, parent_pid, worker_pid):
-        from multiprocessing import resource_tracker, shared_memory
-
-        seg = shared_memory.SharedMemory(
-            name=transport.segment_name(parent_pid, worker_pid),
-            create=True, size=128)
-        resource_tracker.unregister(seg._name, "shared_memory")
-        seg.close()
-        return seg.name
-
-    def test_sweep_worker_reclaims_dead_workers_segment(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no POSIX shm directory on this platform")
-        self._plant(os.getpid(), 999_999)
-        assert transport.sweep_worker(999_999) is True
-        assert transport.sweep_worker(999_999) is False  # already gone
-        assert _shm_entries() == []
-
-    def test_sweep_orphans_reclaims_dead_parents_segments(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no POSIX shm directory on this platform")
-        self._plant(999_998, 4_242)   # parent long dead
-        self._plant(os.getpid(), 31_337)  # ours, no worker in flight
-        assert transport.sweep_orphans() == 2
-        assert _shm_entries() == []
-
-    def test_sweep_orphans_spares_live_foreign_parents(self):
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no POSIX shm directory on this platform")
-        ctx = multiprocessing.get_context("fork")
-        gate = ctx.Event()
-        holder = ctx.Process(target=gate.wait)
-        holder.start()
-        try:
-            name = self._plant(holder.pid, 1)
-            assert transport.sweep_orphans() == 0
-            assert name in _shm_entries()
-        finally:
-            gate.set()
-            holder.join()
-            transport._unlink_segment(name)
-        assert _shm_entries() == []
+        assert payload[1]["mat"].tobytes() == arr.tobytes()
+        # One binary frame: the array's bytes plus a small envelope.
+        shipped = after["bytes_shipped"] - before["bytes_shipped"]
+        assert arr.nbytes <= shipped < arr.nbytes + 1024
 
 
 SOURCES = {
@@ -175,50 +83,17 @@ class TestBatchTransport:
                 assert isinstance(mat, np.ndarray)
                 assert mat.tobytes() == ref.dbms[name].tobytes()
         assert parallel.transport["bytes_shipped"] > 0
-        assert _shm_entries() == []
-
-    def test_zero_copy_reduces_bytes_shipped(self):
-        """The ISSUE acceptance bar, counter-verified: the same batch
-        ships fewer pipe bytes with the shm lane than without it."""
-        jobs = self._jobs(keep_invariants=True)
-        # A threshold of 0 routes every out-of-band buffer through shm,
-        # so the comparison does not depend on DBM sizes vs the default.
-        old_threshold = transport.SHM_THRESHOLD
-        transport.SHM_THRESHOLD = 0
-        try:
-            with_shm = run_batch(jobs, workers=2)
-            transport.set_zero_copy(False)
-            try:
-                without = run_batch(jobs, workers=2)
-            finally:
-                transport.set_zero_copy(True)
-        finally:
-            transport.SHM_THRESHOLD = old_threshold
-        assert with_shm.transport["shm_blocks_attached"] > 0
-        assert without.transport["shm_blocks_attached"] == 0
-        assert with_shm.transport["bytes_zero_copy"] > 0
-        assert with_shm.transport["bytes_shipped"] \
-            < without.transport["bytes_shipped"]
-        # Identical results either way, and no leaked segments.
-        assert [r.verdicts() for r in with_shm.results] \
-            == [r.verdicts() for r in without.results]
-        assert _shm_entries() == []
 
     def test_batch_counters_surface_transport(self):
         batch = run_batch(self._jobs(), workers=2)
         counters = batch.counters()
         assert counters["bytes_shipped"] == batch.transport["bytes_shipped"]
-        assert "bytes_zero_copy" in counters
+        assert counters["job_bytes_shipped"] \
+            == batch.transport["job_bytes_shipped"] > 0
 
 
 class TestJobSubmissionLane:
-    """Job submission rides the same envelope as results (ISSUE 7)."""
-
-    def test_blob_round_trips_out_of_band(self):
-        blob_in = transport._Blob(b"x" * 100)
-        payload, arena = _round_trip(("job", blob_in))
-        assert payload[1].bytes() == b"x" * 100
-        assert arena is None  # 100 B stays inline, but still out-of-band
+    """Job submission rides the same frames as results."""
 
     def test_small_job_ships_inline_with_counter(self):
         jobs = [AnalysisJob(source=SOURCES["a"], label="small"),
@@ -228,53 +103,19 @@ class TestJobSubmissionLane:
         after = transport.transport_counters()
         assert batch.all_ok
         assert after["job_bytes_shipped"] > before["job_bytes_shipped"]
-        assert after["job_shm_blocks_created"] \
-            == before["job_shm_blocks_created"]
-
-    def test_large_job_source_rides_zero_copy(self):
-        """The ISSUE counter assert: a large submitted source moves
-        through shared memory, not the pipe, and leaks nothing."""
-        # Padding is semantically inert (the lexer skips whitespace) but
-        # counts for transport: the job is big, the analysis is tiny.
-        pad = " " * (2 * transport.SHM_THRESHOLD)
-        source = SOURCES["c"] + "\n" + pad
-        jobs = [AnalysisJob(source=source, label="big"),
-                AnalysisJob(source=SOURCES["b"], label="small")]
-        before = transport.transport_counters()
-        batch = run_batch(jobs, workers=2)
-        after = transport.transport_counters()
-        assert batch.all_ok
-        delta_zero_copy = (after["job_bytes_zero_copy"]
-                           - before["job_bytes_zero_copy"])
-        delta_shipped = (after["job_bytes_shipped"]
-                         - before["job_bytes_shipped"])
-        assert after["job_shm_blocks_created"] \
-            >= before["job_shm_blocks_created"] + 1
-        assert delta_zero_copy >= len(pad)
-        # The pipe carried only the envelope + stripped job, not the text.
-        assert delta_shipped < len(source)
-        assert _shm_entries() == []
 
     def test_submission_matches_inline_verdicts(self):
-        pad = " " * (2 * transport.SHM_THRESHOLD)
+        # Padding is semantically inert (the lexer skips whitespace) but
+        # makes every submitted job large.
+        pad = " " * (128 * 1024)
         jobs = [AnalysisJob(source=src + "\n" + pad, label=label)
                 for label, src in sorted(SOURCES.items())]
+        before = transport.transport_counters()
         inline = run_batch(jobs, workers=1)
         pooled = run_batch(jobs, workers=2)
+        after = transport.transport_counters()
         assert [r.verdicts() for r in pooled.results] \
             == [r.verdicts() for r in inline.results]
         assert pooled.outcome_counts() == {"ok": 3}
-        assert _shm_entries() == []
-
-    def test_sweep_worker_reclaims_job_segment(self):
-        from multiprocessing import resource_tracker, shared_memory
-
-        if not os.path.isdir("/dev/shm"):
-            pytest.skip("no POSIX shm directory on this platform")
-        seg = shared_memory.SharedMemory(
-            name=transport.job_segment_name(os.getpid(), 999_999),
-            create=True, size=64)
-        resource_tracker.unregister(seg._name, "shared_memory")
-        seg.close()
-        assert transport.sweep_worker(999_999) is True
-        assert _shm_entries() == []
+        assert (after["job_bytes_shipped"] - before["job_bytes_shipped"]
+                >= len(jobs) * len(pad))
