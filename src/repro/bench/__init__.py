@@ -3,7 +3,6 @@
 from .reporting import format_table, geomean, render_ascii_series, save_result
 from .runner import (
     ClosureComparison,
-    batch_suite_rows,
     closure_comparison,
     fig8_row,
     table2_row,
@@ -12,7 +11,6 @@ from .runner import (
 
 __all__ = [
     "ClosureComparison",
-    "batch_suite_rows",
     "closure_comparison",
     "fig8_row",
     "format_table",

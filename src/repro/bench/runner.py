@@ -135,43 +135,6 @@ def table2_row(benchmark: Benchmark, *, scale: Optional[str] = None) -> Dict[str
     }
 
 
-def batch_suite_rows(*, scale: Optional[str] = None,
-                     workers: Optional[int] = None,
-                     timeout: Optional[float] = None,
-                     use_cache: bool = False, **options) -> Dict[str, object]:
-    """The whole suite through the batch service (one row per job).
-
-    This is the same execution path as ``python -m repro batch
-    --suite``; benchmark tables therefore measure exactly what the
-    service serves, including its scheduling and cache behaviour.
-    """
-    from ..service import run_suite
-
-    batch = run_suite(scale, workers=workers, timeout=timeout,
-                      use_cache=use_cache, **options)
-    rows = [{
-        "benchmark": r.label,
-        "outcome": r.outcome,
-        "seconds": r.seconds,
-        "octagon_s": r.octagon_seconds,
-        "verified": r.checks_verified,
-        "checks": r.checks_total,
-        "cached": r.cached,
-        "rungs": dict(r.rungs),
-        "copies_avoided": r.counters.get("copies_avoided", 0),
-        "workspace_hits": r.counters.get("workspace_hits", 0),
-        "closure_cache_hits": r.counters.get("closure_cache_hits", 0),
-        "plans_compiled": r.counters.get("plans_compiled", 0),
-        "plan_exec": r.counters.get("plan_exec", 0),
-        "constraints_batched": r.counters.get("constraints_batched", 0),
-        "closures_avoided": r.counters.get("closures_avoided", 0),
-        "budget_checkpoints": r.counters.get("budget_checkpoints", 0),
-        "budget_interrupts": r.counters.get("budget_interrupts", 0),
-        "degradations": r.counters.get("degradations", 0),
-    } for r in batch.results]
-    return {"batch": batch, "rows": rows}
-
-
 def table3_row(benchmark: Benchmark, *, scale: Optional[str] = None,
                aux_passes: int = 3) -> Dict[str, object]:
     """End-to-end program analysis comparison (Table 3)."""

@@ -26,6 +26,7 @@ reacts by retrying the procedure in a cheaper domain.
 
 from __future__ import annotations
 
+import os
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -159,6 +160,17 @@ def governed(budget: Optional[Budget]) -> Iterator[Optional[Budget]]:
         yield budget
     finally:
         _ACTIVE = previous
+
+
+def _forget_in_child() -> None:
+    # A pool worker forked while another thread of its parent analyzed
+    # under a budget must not inherit that budget: the thread that owns
+    # it does not exist in the child.
+    global _ACTIVE
+    _ACTIVE = None
+
+
+os.register_at_fork(after_in_child=_forget_in_child)
 
 
 def charge_cells(amount: int) -> None:

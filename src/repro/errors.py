@@ -84,12 +84,21 @@ class CacheCorrupt(ReproError):
 
 
 class WorkerDied(ReproError):
-    """A batch worker exited without reporting (crash, kill, OOM)."""
+    """A pool worker exited without reporting (crash, kill, OOM)."""
 
     def __init__(self, exit_code: Optional[int], *,
                  stage: str = "before reporting"):
         super().__init__(f"worker died {stage} (exit code {exit_code})")
         self.exit_code = exit_code
+
+
+class JobRaised(WorkerDied):
+    """A pool job raised in its worker, which survived; the message is
+    the worker-side traceback."""
+
+    def __init__(self, traceback_text: str):
+        ReproError.__init__(self, traceback_text)
+        self.exit_code = 0
 
 
 class IntegrityError(ReproError):
@@ -106,6 +115,7 @@ __all__ = [
     "BudgetExceeded",
     "CacheCorrupt",
     "IntegrityError",
+    "JobRaised",
     "ReproError",
     "WorkerDied",
 ]

@@ -12,9 +12,13 @@ runs.  This subsystem is that batch layer:
   structured, picklable :class:`JobResult` carrying verdicts, exit
   boxes, timings and the hot-path memory counters.
 * :mod:`repro.service.scheduler` -- :func:`run_batch`: a work queue
-  feeding one-process-per-job workers with bounded concurrency,
+  feeding a supervised pool of ``workers`` long-lived processes, with
   per-job wall-clock timeouts, bounded retries for transient worker
   death, and an inline (no-fork) mode at ``workers=1``.
+* :mod:`repro.service.pool` -- :class:`WorkerPool`: the one place that
+  creates worker processes -- heartbeats, timeout and deadline kills,
+  respawn backoff, retries.  The analysis daemon's supervisor
+  subclasses it.
 * :mod:`repro.service.cache` -- :class:`ResultCache`: a
   content-addressed JSON-on-disk store, version-stamped so stale
   entries self-invalidate.

@@ -1,46 +1,41 @@
-"""Work queue + process workers with timeouts, retries and a cache.
+"""Work queue + supervised worker pool with timeouts, retries and a cache.
 
 :func:`run_batch` is the service's execution engine.  Design points:
 
-* **One process per job, bounded concurrency.**  Jobs are short
-  analyses; recycling long-lived pool workers would save fork cost but
-  make per-job wall-clock timeouts messy (killing a pool worker kills
-  its queue).  A dedicated process per job means a timeout is just
-  ``terminate()`` -- sibling jobs never notice, which is the graceful
-  degradation the paper-style batch needs when one benchmark is
-  pathological.  At most ``workers`` processes run at once.
-* **Failure taxonomy.**  A job that exceeds ``timeout`` seconds is
-  killed and reported ``outcome="timeout"`` (not retried: the same
-  input would time out again).  A worker that raises, or dies without
-  reporting (segfault, OOM-kill), is retried up to ``retries`` times
-  and then reported ``outcome="error"`` with the traceback or exit
-  code.  The batch itself always completes with one result per job, in
-  input order.
+* **One supervised pool, bounded concurrency.**  ``workers`` long-lived
+  processes of a :class:`~repro.service.pool.WorkerPool` -- the pool
+  the analysis daemon runs on too -- take the jobs one at a time.  A
+  timeout kills only the worker running the slow job: the pool respawns
+  that slot at once and sibling jobs never notice, which is the
+  graceful degradation the paper-style batch needs when one benchmark
+  is pathological.  The pool lives for one batch and is shut down
+  before :func:`run_batch` returns.
+* **Failure taxonomy.**  A job still running ``timeout`` seconds after
+  its worker began it is killed and reported ``outcome="timeout"`` (not
+  retried: the same input would time out again).  A worker that
+  raises, or dies without reporting (segfault, OOM-kill), is retried up
+  to ``retries`` times and then reported ``outcome="error"`` with the
+  traceback or exit code.  No job ever runs in the batch's own process
+  at ``workers >= 2``.  The batch itself always completes with one
+  result per job, in input order.
 * **Inline mode.**  ``workers=1`` runs every job in the calling
   process -- no fork, deterministic output ordering, breakpoints work.
   Timeouts are not enforced inline (there is no one to do the
   killing); retries still apply.  Tests assert that inline and
   parallel runs produce identical verdicts and bounds.
 * **Cache short-circuit.**  With a :class:`ResultCache`, each job's
-  key is looked up before any process is spawned; hits come back
+  key is looked up before the pool starts; hits come back
   ``cached=True`` and only misses are scheduled.  Completed ``ok``
   results are stored as they arrive, so even an interrupted batch
   warms the cache.
-
-The start method prefers ``fork`` (cheap, no pickling of the worker
-callable) and falls back to the platform default where fork is
-unavailable; custom ``worker`` callables must be module-level (or
-otherwise picklable) to support the fallback.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import WorkerDied
@@ -56,9 +51,6 @@ from .job import (
     execute_job,
 )
 from .journal import BatchJournal
-
-#: Grace period for ``join()`` after ``terminate()`` before escalating.
-_KILL_GRACE_S = 5.0
 
 
 @dataclass
@@ -145,36 +137,6 @@ def default_workers() -> int:
     return os.cpu_count() or 1
 
 
-def _context():
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _worker_main(job_conn, conn,
-                 worker: Callable[[AnalysisJob], JobResult]) -> None:
-    """Child-process entry: receive the job, run it, ship the outcome.
-
-    The job arrives over its own pipe instead of being pickled into the
-    ``Process`` args -- submission and results share one wire format
-    whatever the start method.
-    """
-    try:
-        try:
-            job = transport.recv_job(job_conn)
-        finally:
-            job_conn.close()
-        result = worker(job)
-        transport.send_payload(conn, ("ok", result))
-    except BaseException:
-        try:
-            transport.send_payload(conn, ("raised", traceback.format_exc()))
-        except (OSError, ValueError):
-            pass
-    finally:
-        conn.close()
-
-
 def _timeout_result(job: AnalysisJob, timeout: float, attempt: int) -> JobResult:
     return JobResult(key=job.key(), label=job.label, domain=job.domain,
                      outcome=OUTCOME_TIMEOUT, seconds=float(timeout),
@@ -185,19 +147,6 @@ def _timeout_result(job: AnalysisJob, timeout: float, attempt: int) -> JobResult
 def _error_result(job: AnalysisJob, message: str, attempt: int) -> JobResult:
     return JobResult(key=job.key(), label=job.label, domain=job.domain,
                      outcome=OUTCOME_ERROR, attempts=attempt, error=message)
-
-
-@dataclass
-class _Running:
-    proc: object
-    idx: int
-    attempt: int
-    deadline: Optional[float]
-    started: float = field(default_factory=time.monotonic)
-    #: ``perf_counter`` at launch, for the job's trace span.  On Linux
-    #: ``perf_counter`` is CLOCK_MONOTONIC, one epoch per boot, so this
-    #: is directly comparable with timestamps the forked worker records.
-    perf_started: float = field(default_factory=time.perf_counter)
 
 
 def _trace_job(job: AnalysisJob, result: JobResult,
@@ -347,114 +296,42 @@ def _run_inline(jobs, pending, results, *, retries, cache, journal,
 
 def _run_pool(jobs, pending, results, *, workers, timeout, retries, cache,
               journal, worker) -> None:
-    """Bounded process fan-out with per-job deadlines."""
-    ctx = _context()
-    queue = [(idx, 1) for idx in pending]  # (job index, attempt number)
-    queue.reverse()  # pop() from the end keeps input order
-    running: Dict[object, _Running] = {}  # recv conn -> bookkeeping
+    """Run the pending jobs on a supervised pool of ``workers`` processes."""
+    # Imported here: one-shot and inline callers never load the pool
+    # (or multiprocessing).
+    from concurrent.futures import as_completed
 
-    def launch(idx: int, attempt: int) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        job_recv, job_send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker_main,
-                           args=(job_recv, send_conn, worker), daemon=True)
-        events.debug("job_start", label=jobs[idx].label, attempt=attempt)
-        proc.start()
-        send_conn.close()
-        job_recv.close()
-        deadline = None if timeout is None else time.monotonic() + timeout
-        running[recv_conn] = _Running(proc, idx, attempt, deadline)
-        try:
-            transport.send_job(job_send, jobs[idx])
-        except (BrokenPipeError, OSError):
-            # The worker died before reading its job; the sentinel path
-            # reaps it and applies the normal retry policy.
-            pass
-        finally:
-            job_send.close()
+    from .pool import PoolFallback, WorkerPool
 
-    def reap(conn, entry: _Running, result: JobResult) -> None:
-        entry.proc.join()
-        conn.close()
-        del running[conn]
-        _trace_job(jobs[entry.idx], result, entry.perf_started,
-                   time.perf_counter())
-        if result.outcome == OUTCOME_TIMEOUT:
-            events.warning("job_timeout", label=jobs[entry.idx].label,
-                           timeout=timeout, attempts=result.attempts)
-        events.info("job_done", label=jobs[entry.idx].label,
-                    outcome=result.outcome, attempts=result.attempts,
-                    seconds=round(result.seconds, 6))
-        results[entry.idx] = result
-        _store(cache, journal, jobs[entry.idx], result)
-
-    def retry_or_fail(conn, entry: _Running, message: str) -> None:
-        entry.proc.join()
-        conn.close()
-        del running[conn]
-        if entry.attempt <= retries:
-            events.warning("job_retry", label=jobs[entry.idx].label,
-                           attempt=entry.attempt + 1,
-                           error=message.strip().splitlines()[-1]
-                           if message.strip() else message)
-            queue.append((entry.idx, entry.attempt + 1))
-        else:
-            result = _error_result(jobs[entry.idx], message, entry.attempt)
-            _trace_job(jobs[entry.idx], result, entry.perf_started,
+    if not pending:
+        return
+    pool = WorkerPool(min(workers, len(pending)), retries=retries,
+                      job_timeout=timeout, worker=worker)
+    pool.start()
+    try:
+        submitted = {pool.submit(jobs[idx]): idx for idx in pending}
+        for pool_job in as_completed(submitted):
+            idx = submitted[pool_job]
+            job = jobs[idx]
+            try:
+                result = pool_job.result()
+                result.attempts = pool_job.attempts
+            except TimeoutError:
+                result = _timeout_result(job, timeout, pool_job.attempts)
+                events.warning("job_timeout", label=job.label,
+                               timeout=timeout, attempts=result.attempts)
+            except (WorkerDied, PoolFallback) as exc:  # retries spent
+                result = _error_result(job, str(exc), pool_job.attempts)
+                events.error("job_failed", label=job.label,
+                             attempts=result.attempts,
+                             error=(str(exc).strip().splitlines()
+                                    or [""])[-1])
+            _trace_job(job, result, pool_job.started or time.perf_counter(),
                        time.perf_counter())
-            events.error("job_failed", label=jobs[entry.idx].label,
-                         attempts=entry.attempt,
-                         error=message.strip().splitlines()[-1]
-                         if message.strip() else message)
-            results[entry.idx] = result
-            _store(cache, journal, jobs[entry.idx], result)
-
-    while queue or running:
-        while queue and len(running) < workers:
-            idx, attempt = queue.pop()
-            launch(idx, attempt)
-
-        deadlines = [r.deadline for r in running.values()
-                     if r.deadline is not None]
-        wait_for = None
-        if deadlines:
-            wait_for = max(0.0, min(deadlines) - time.monotonic())
-        watch = []
-        for conn, entry in running.items():
-            watch.append(conn)
-            watch.append(entry.proc.sentinel)
-        ready = set(mp_connection.wait(watch, timeout=wait_for))
-
-        now = time.monotonic()
-        for conn, entry in list(running.items()):
-            expired = entry.deadline is not None and now >= entry.deadline
-            signalled = conn in ready or entry.proc.sentinel in ready
-            if not (signalled or expired):
-                continue
-            if conn.poll():
-                # The worker reported before exiting (possibly right at
-                # the deadline -- a delivered result beats a timeout).
-                try:
-                    status, payload = transport.recv_payload(conn)
-                except EOFError:
-                    entry.proc.join()
-                    retry_or_fail(conn, entry,
-                                  str(WorkerDied(entry.proc.exitcode)))
-                    continue
-                if status == "ok":
-                    payload.attempts = entry.attempt
-                    reap(conn, entry, payload)
-                else:  # the worker raised; retry, then report the traceback
-                    retry_or_fail(conn, entry, payload)
-            elif not entry.proc.is_alive():
-                retry_or_fail(
-                    conn, entry,
-                    str(WorkerDied(entry.proc.exitcode, stage="mid-job")))
-            elif expired:
-                entry.proc.terminate()
-                entry.proc.join(_KILL_GRACE_S)
-                if entry.proc.is_alive():
-                    entry.proc.kill()
-                    entry.proc.join()
-                reap(conn, entry,
-                     _timeout_result(jobs[entry.idx], timeout, entry.attempt))
+            events.info("job_done", label=job.label, outcome=result.outcome,
+                        attempts=result.attempts,
+                        seconds=round(result.seconds, 6))
+            results[idx] = result
+            _store(cache, journal, job, result)
+    finally:
+        pool.shutdown()

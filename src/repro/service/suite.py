@@ -1,8 +1,8 @@
 """The 17-benchmark suite through the batch service.
 
 :func:`run_suite` is the shared execution path behind
-``python -m repro batch --suite``, the ``bench_batch_service``
-benchmark and any caller that wants Table 3's workload as one batch:
+``python -m repro batch --suite`` and any caller that wants Table 3's
+workload as one batch:
 build one :class:`AnalysisJob` per benchmark (labelled with the
 benchmark name) and push them through :func:`run_batch`.
 """

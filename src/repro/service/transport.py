@@ -6,8 +6,11 @@ with ``Connection.send_bytes``.  Protocol 5 (PEP 574) writes a NumPy
 array's bytes as one binary frame with no escaping, so the exit DBMs a
 ``keep_invariants`` job ships cross the pipe as a single copy.
 
-Both directions are counted on the parent, where the batch summary
-lives: ``bytes_shipped`` is what the result pipes delivered and
+There are two lanes: :func:`send_job`/:func:`recv_job` carry every
+frame of a pool worker's job pipe (submissions and the ``("exit",)``
+frame), :func:`send_payload`/:func:`recv_payload` carry results and
+heartbeats back.  Both are counted on the parent, where the batch
+summary lives: ``bytes_shipped`` is what the result pipes delivered and
 ``job_bytes_shipped`` what the job pipes carried to workers (the
 worker's own counters die with it).
 """
@@ -15,7 +18,7 @@ worker's own counters die with it).
 from __future__ import annotations
 
 import pickle
-from typing import Dict, Optional
+from typing import Dict
 
 from ..obs import metrics
 
@@ -37,37 +40,29 @@ def transport_counters() -> Dict[str, int]:
     return dict(_COUNTS)
 
 
-def send_payload(conn, payload: object, *,
-                 count_prefix: Optional[str] = None) -> None:
-    """Ship ``payload`` over ``conn`` as one protocol-5 pickle frame.
-
-    With ``count_prefix`` the *sender* bumps ``<prefix>bytes_shipped``
-    -- used by the submission lane, whose receiver (the worker) cannot
-    report counters back.
-    """
+def send_payload(conn, payload: object) -> int:
+    """Ship ``payload`` over ``conn`` as one protocol-5 pickle frame;
+    returns the frame's size."""
     wire = pickle.dumps(payload, protocol=5)
     conn.send_bytes(wire)
-    if count_prefix is not None:
-        _COUNTS[count_prefix + "bytes_shipped"] += len(wire)
+    return len(wire)
 
 
-def recv_payload(conn, *, count: bool = True) -> object:
-    """Receive one frame sent by :func:`send_payload`.
-
-    ``count=False`` skips the receive-side counter -- the submission
-    lane counts on the sender, where the batch summary lives.
-    """
+def recv_payload(conn) -> object:
+    """Receive one frame sent by :func:`send_payload` (parent side:
+    counted in ``bytes_shipped``)."""
     wire = conn.recv_bytes()
-    if count:
-        _COUNTS["bytes_shipped"] += len(wire)
+    _COUNTS["bytes_shipped"] += len(wire)
     return pickle.loads(wire)
 
 
-def send_job(conn, job) -> None:
-    """Submit ``job`` to a worker over its job pipe (parent side)."""
-    send_payload(conn, job, count_prefix="job_")
+def send_job(conn, payload: object) -> None:
+    """Submit one job frame to a worker over its job pipe (parent side:
+    counted in ``job_bytes_shipped``, since the worker cannot report
+    counters back)."""
+    _COUNTS["job_bytes_shipped"] += send_payload(conn, payload)
 
 
-def recv_job(conn):
-    """Receive one submitted job (worker side of the job pipe)."""
-    return recv_payload(conn, count=False)
+def recv_job(conn) -> object:
+    """Receive one frame from the job pipe (worker side, uncounted)."""
+    return pickle.loads(conn.recv_bytes())

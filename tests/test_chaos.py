@@ -115,6 +115,31 @@ def _heavy_source(nprocs: int, nvars: int = 12) -> str:
     return "\n".join(procs)
 
 
+def _proc_stat(pid: int):
+    """``(state, ppid)`` of a live process, or None once it is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            fields = fh.read().rsplit(")", 1)[1].split()
+    except (OSError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def _children(pid: int):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            stat = _proc_stat(int(entry))
+            if stat is not None and stat[1] == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _running(pid: int) -> bool:
+    stat = _proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
 @pytest.mark.slow
 class TestSigkillResume:
     def _cli(self, *args, env):
@@ -159,11 +184,20 @@ class TestSigkillResume:
             else:
                 pytest.fail("journal never gained a record")
         finally:
+            orphans = []
             if victim.poll() is None:
+                orphans = _children(victim.pid)
                 os.kill(victim.pid, signal.SIGKILL)
             victim.wait()
         journaled_before_resume = journal.read_text().count("\n")
         assert journaled_before_resume >= 1
+        # The killed batch's pool workers notice their parent is gone
+        # and exit on their own.
+        deadline = time.monotonic() + 5.0
+        while (any(_running(pid) for pid in orphans)
+               and time.monotonic() < deadline):
+            time.sleep(0.05)
+        assert not [pid for pid in orphans if _running(pid)]
 
         resumed_report = tmp_path / "resumed.json"
         resumed = self._cli("batch", *files, "--jobs", "4", "--no-cache",

@@ -29,6 +29,8 @@ OFF_PATH = (
     "repro.service.validate",
     "repro.obs.report",
     "repro.workloads",
+    "repro.serve",
+    "repro.service.pool",
 )
 
 #: Modules ``repro.service.job`` must load up front, so forked workers

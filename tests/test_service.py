@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -39,6 +41,14 @@ def _raising_worker(job):
 
 def _dying_worker(job):
     os._exit(3)
+
+
+def _pid_worker(job):
+    """Records which process ran the job."""
+    path = os.path.join(os.environ["REPRO_TEST_PID_DIR"], job.key())
+    with open(path, "w") as fh:
+        fh.write(str(os.getpid()))
+    return execute_job(job)
 
 
 def _flaky_worker(job):
@@ -246,6 +256,37 @@ class TestScheduler:
         assert len(batch.results) == 3
         assert not batch.all_ok
         assert batch.outcome_counts() == {"error": 3}
+
+    def test_pool_workers_are_long_lived(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_TEST_PID_DIR", str(tmp_path))
+        batch = run_batch(_ok_jobs(6), workers=2, worker=_pid_worker)
+        assert batch.all_ok
+        pids = [p.read_text() for p in tmp_path.iterdir()]
+        assert len(pids) == 6
+        assert 1 <= len(set(pids)) <= 2
+        assert str(os.getpid()) not in pids
+
+    def test_pooled_counters_match_inline(self):
+        """The pool adds no counters to a job's result.  Run in a fresh
+        interpreter: this session has loaded every subsystem already."""
+        code = """
+import json
+from repro.service import AnalysisJob, run_batch
+jobs = [AnalysisJob(source="x = [0, 4]; y = x + 1; assert(y <= 5);",
+                    label="a"),
+        AnalysisJob(source="z = 3; assert(z == 3);", label="b")]
+print(json.dumps([[sorted(r.counters)
+                   for r in run_batch(jobs, workers=n).results]
+                  for n in (1, 2)]))
+"""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        inline, pooled = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert inline[0] and inline == pooled
 
     def test_cache_short_circuits_second_run(self, tmp_path):
         cache = ResultCache(str(tmp_path))
