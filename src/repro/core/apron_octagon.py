@@ -17,7 +17,6 @@ through both implementations.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, Sequence, Tuple
 
 from . import kernels
@@ -205,9 +204,8 @@ class ApronOctagon:
         if self._ccache is not None:
             return self._ccache
         out = self.copy()
-        start = time.perf_counter()
-        empty = kernels.apron_closure(out.half)
-        stats.record_closure(self.n, "apron", time.perf_counter() - start)
+        with stats.timed_op("closure", n=self.n, kind="apron", components=1):
+            empty = kernels.apron_closure(out.half)
         if empty:
             self._become_bottom()
             return self
@@ -219,10 +217,9 @@ class ApronOctagon:
         return self.closure()
 
     def _incremental_close(self, v: int) -> None:
-        start = time.perf_counter()
-        empty = _incremental_closure_half(self.half, v)
-        stats.record_closure(self.n, "apron-incremental",
-                             time.perf_counter() - start)
+        with stats.timed_op("closure_inc", n=self.n, kind="apron-incremental",
+                            components=1, v=v):
+            empty = _incremental_closure_half(self.half, v)
         if empty:
             self._become_bottom()
         else:

@@ -47,6 +47,9 @@ metrics.REGISTRY.counter("budget_checkpoints",
                          "Cooperative budget checks performed")
 metrics.REGISTRY.counter("budget_interrupts",
                          "Analyses interrupted by an exhausted budget")
+metrics.REGISTRY.counter("closure_cells",
+                         "DBM cells charged by closure kernels; incremental "
+                         "re-closures and closed-form assignments charge 8n")
 
 
 class Budget:
@@ -174,9 +177,11 @@ os.register_at_fork(after_in_child=_forget_in_child)
 
 
 def charge_cells(amount: int) -> None:
-    """Charge closure-kernel traffic to the ambient budget, if any."""
+    """Charge closure-kernel traffic to the ambient budget, if any, and
+    count it in the ``closure_cells`` counter."""
     if _ACTIVE is not None:
         _ACTIVE.charge_cells(amount)
+    stats.bump("closure_cells", amount)
 
 
 __all__ = ["Budget", "MIN_TIME_BUDGET", "active_budget", "charge_cells",

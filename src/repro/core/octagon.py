@@ -41,12 +41,11 @@ constraint-to-cell mapping.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs import metrics, trace
+from ..obs import metrics
 from . import budget as _budget
 from . import kernels
 from . import sentinel as _sentinel
@@ -68,10 +67,7 @@ metrics.REGISTRY.counter("closure_cache_hits",
                          "Closed forms served from the versioned cache")
 metrics.REGISTRY.counter("assign_closed_form",
                          "Assignments written in closed form on a closed DBM")
-# Closure traffic and DBM footprint, recorded at closure boundaries.
-metrics.REGISTRY.counter("closure_cells",
-                         "DBM cells charged by closure kernels; incremental "
-                         "re-closures and closed-form assignments charge 8n")
+# DBM footprint, recorded at closure boundaries.
 metrics.REGISTRY.counter("dbm_finite_cells",
                          "Finite half-matrix cells, high-water mark")
 metrics.REGISTRY.counter("dbm_half_size",
@@ -285,47 +281,38 @@ class Octagon:
     def _close_in_place(self) -> None:
         """Dispatch on the DBM kind and close ``self.mat`` in place."""
         kind = self.kind
-        if kind == DbmKind.TOP:
-            # Nothing to close; do not materialise a shared matrix.
-            stats.record_closure(self.n, str(kind), 0.0,
-                                 len(self.partition.blocks))
-            self.closed = True
-            return
-        if stats.capturing_closure_inputs():
-            stats.record_closure_input(
-                self.mat.copy(), [list(b) for b in self.partition.blocks])
         components = len(self.partition.blocks)
-        # Budget checkpoint: charge the matrix area this kernel is about
-        # to traverse (per-component for decomposed closures, so a
-        # densifying octagon burns its cell budget much faster).
-        if kind == DbmKind.DECOMPOSED:
-            area = sum((2 * len(b)) ** 2 for b in self.partition.blocks)
-        else:
-            area = (2 * self.n) ** 2
-        _budget.charge_cells(area)
-        stats.bump("closure_cells", area)
-        m = self._write_mat()
-        start = time.perf_counter()
-        if kind == DbmKind.DECOMPOSED:
-            empty, exact = closure_decomposed(
-                m, self.partition, sparse_threshold=self.policy.threshold)
-            if not empty:
-                self.partition = exact
-                self.nni = count_nni(m)
-        elif kind == DbmKind.SPARSE:
-            empty = kernels.sparse_closure(m)
-            if not empty:
-                self._refresh_structure_exact()
-        else:
-            empty = kernels.dense_closure(m)
-            if not empty:
-                self._refresh_structure_exact()
-        elapsed = time.perf_counter() - start
-        stats.record_closure(self.n, str(kind), elapsed, components)
-        if trace.enabled():  # skip the args dict on the disabled path
-            trace.emit("closure", start, start + elapsed,
-                       args={"n": self.n, "kind": str(kind),
-                             "components": components})
+        if kind != DbmKind.TOP:
+            stats.capture_closure_input(self.mat, self.partition.blocks)
+            # Budget checkpoint: charge the matrix area this kernel is
+            # about to traverse (per-component for decomposed closures,
+            # so a densifying octagon burns its cell budget much faster).
+            if kind == DbmKind.DECOMPOSED:
+                area = sum((2 * len(b)) ** 2 for b in self.partition.blocks)
+            else:
+                area = (2 * self.n) ** 2
+            _budget.charge_cells(area)
+        with stats.timed_op("closure", n=self.n, kind=str(kind),
+                            components=components):
+            if kind == DbmKind.TOP:
+                # Nothing to close; do not materialise a shared matrix.
+                self.closed = True
+                return
+            m = self._write_mat()
+            if kind == DbmKind.DECOMPOSED:
+                empty, exact = closure_decomposed(
+                    m, self.partition, sparse_threshold=self.policy.threshold)
+                if not empty:
+                    self.partition = exact
+                    self.nni = count_nni(m)
+            elif kind == DbmKind.SPARSE:
+                empty = kernels.sparse_closure(m)
+                if not empty:
+                    self._refresh_structure_exact()
+            else:
+                empty = kernels.dense_closure(m)
+                if not empty:
+                    self._refresh_structure_exact()
         if empty:
             self._become_bottom()
         else:
@@ -347,15 +334,10 @@ class Octagon:
     def _incremental_close(self, v: int) -> None:
         """Quadratic re-closure after changes confined to variable ``v``."""
         _budget.charge_cells(8 * self.n)  # two row/column pairs touched
-        stats.bump("closure_cells", 8 * self.n)
-        m = self._write_mat()
-        start = time.perf_counter()
-        empty = kernels.incremental_closure(m, v)
-        elapsed = time.perf_counter() - start
-        stats.record_closure(self.n, "incremental", elapsed, len(self.partition.blocks))
-        if trace.enabled():  # skip the args dict on the disabled path
-            trace.emit("closure_inc", start, start + elapsed,
-                       args={"n": self.n, "v": v})
+        with stats.timed_op("closure_inc", n=self.n, kind="incremental",
+                            components=len(self.partition.blocks), v=v):
+            m = self._write_mat()
+            empty = kernels.incremental_closure(m, v)
         if empty:
             self._become_bottom()
             return
@@ -763,7 +745,6 @@ class Octagon:
             return self.copy()
         with stats.timed_op("assign"):
             _budget.charge_cells(8 * self.n)  # two row/column pairs touched
-            stats.bump("closure_cells", 8 * self.n)
             stats.bump("assign_closed_form")
             out = closed.copy()
             m = out._write_mat()
@@ -1100,7 +1081,10 @@ class Octagon:
         vhat[1::2] = -vals
         diff = vhat[None, :] - vhat[:, None]
         finite = np.isfinite(self.mat)
-        return bool(np.all(diff[finite] <= self.mat[finite] + tol))
+        # "Not above" rather than "at most": an infinite coordinate
+        # (a float run that overflowed) makes inf - inf = nan on the
+        # diagonal, which violates nothing -- as in ApronOctagon.
+        return not np.any(diff[finite] > self.mat[finite] + tol)
 
     # ------------------------------------------------------------------
     # dimension management

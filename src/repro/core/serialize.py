@@ -145,8 +145,10 @@ def analysis_report(result) -> Dict:
 #: threshold of a second, graph-based octagon backend.  v7 removed that
 #: backend and the kernel backend choice: ``kernel_backend`` left the
 #: document and both knobs left the job options, so v6 entries -- keyed
-#: with them -- are evicted, never served.
-JOB_RESULT_SCHEMA = 7
+#: with them -- are evicted, never served.  v8: closures became rows
+#: of the operator tables (``closure``, ``closure_inc``) and
+#: ``octagon_seconds`` became the sum of ``op_self_seconds``.
+JOB_RESULT_SCHEMA = 8
 
 
 def job_result_to_dict(result) -> Dict:

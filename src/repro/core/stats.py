@@ -1,12 +1,11 @@
 """Compatibility shim over :mod:`repro.obs` -- the telemetry subsystem.
 
-This module used to hold all instrumentation (operator timers, closure
-records, counters with a hand-maintained ``counter_summary()`` key
-list).  That machinery now lives in :mod:`repro.obs.collect` (scoped
-collection, with correct self-time attribution for nested operator
-timers) and :mod:`repro.obs.metrics` (the registry subsystems declare
-their counters in, plus the Prometheus/JSONL exporters); spans and
-trace export live in :mod:`repro.obs.trace`.
+The domains time every operator and closure call through
+:func:`timed_op`, the one timing hook (:mod:`repro.obs.collect`: scoped
+collection, self-time tables, closure records, histograms and, with
+tracing on, one trace event per call).  Counters are declared in the
+:mod:`repro.obs.metrics` registry; phase spans and trace export live in
+:mod:`repro.obs.trace`.
 
 Every public name is re-exported so existing imports keep working:
 
@@ -14,7 +13,10 @@ Every public name is re-exported so existing imports keep working:
 >>> with stats.collecting() as collector:
 ...     with stats.timed_op("assign"):
 ...         pass
->>> collector.counter_summary()  # enumerated from the registry
+...     with stats.timed_op("closure", n=3, kind="dense", components=1):
+...         pass
+>>> collector.closure_stats()["closures"]
+1
 """
 
 from __future__ import annotations
@@ -26,10 +28,8 @@ from repro.obs.collect import (  # noqa: F401
     active_collector,
     bump,
     bump_max,
-    capturing_closure_inputs,
+    capture_closure_input,
     collecting,
-    record_closure,
-    record_closure_input,
     timed_op,
 )
 from repro.obs.metrics import (  # noqa: F401
@@ -61,10 +61,8 @@ __all__ = [
     "active_collector",
     "bump",
     "bump_max",
-    "capturing_closure_inputs",
+    "capture_closure_input",
     "collecting",
-    "record_closure",
-    "record_closure_input",
     "register_counter_source",
     "sparsity_ratio",
     "timed_op",

@@ -26,13 +26,11 @@ decomposition pays on workloads where widening erases bounds.
 
 from __future__ import annotations
 
-import time
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..core import stats
-from ..obs import trace
 from ..core.bounds import INF, is_finite
 from ..core.constraints import LinExpr, OctConstraint
 from ..core.cow import CowMat, is_enabled as _cow_enabled
@@ -199,22 +197,16 @@ class Zone:
             stats.bump("closure_cache_hits")
             return cc
         out = self.copy()
-        start = time.perf_counter()
-        use_decomposed = (self.decompose and self.partition.blocks and
-                          len(self.partition.support) < self.n)
-        if self.partition.is_empty():
-            empty = False
-        elif use_decomposed:
-            empty = _close_decomposed(out._write_mat(), self.partition)
-        else:
-            empty = _close(out._write_mat())
-        elapsed = time.perf_counter() - start
-        stats.record_closure(self.n, "zone", elapsed,
-                             len(self.partition.blocks))
-        if trace.enabled():  # skip the args dict on the disabled path
-            trace.emit("closure", start, start + elapsed,
-                       args={"n": self.n, "kind": "zone",
-                             "components": len(self.partition.blocks)})
+        with stats.timed_op("closure", n=self.n, kind="zone",
+                            components=len(self.partition.blocks)):
+            use_decomposed = (self.decompose and self.partition.blocks and
+                              len(self.partition.support) < self.n)
+            if self.partition.is_empty():
+                empty = False
+            elif use_decomposed:
+                empty = _close_decomposed(out._write_mat(), self.partition)
+            else:
+                empty = _close(out._write_mat())
         if empty:
             self._become_bottom()
             return self
@@ -555,7 +547,8 @@ class Zone:
         ext = np.concatenate([[0.0], np.asarray(values, dtype=np.float64)])
         diff = ext[None, :] - ext[:, None]
         finite = np.isfinite(self.mat)
-        return bool(np.all(diff[finite] <= self.mat[finite] + tol))
+        # nan (inf - inf) violates nothing; see Octagon.contains_point.
+        return not np.any(diff[finite] > self.mat[finite] + tol)
 
     def __repr__(self) -> str:
         if self._bottom:

@@ -1,6 +1,6 @@
 """Telemetry subsystem: span tracing, metrics registry, event logging.
 
-Four cooperating modules, importable with no telemetry cost until a
+Five cooperating modules, importable with no telemetry cost until a
 run opts in:
 
 * :mod:`repro.obs.trace`   -- nested spans, Chrome trace-event export,
@@ -8,9 +8,12 @@ run opts in:
 * :mod:`repro.obs.metrics` -- the metric registry (counters declared by
   their owning modules, histograms, derived counters) and the
   Prometheus / JSONL exporters.
-* :mod:`repro.obs.collect` -- scoped :class:`StatsCollector` capture of
-  operator timings (with self-time attribution), closure records and
-  counters; the engine behind the ``repro.core.stats`` shim.
+* :mod:`repro.obs.collect` -- ``timed_op``, the one timing hook of
+  every domain operator and closure call, and the scoped
+  :class:`StatsCollector` it feeds: operator tables (with self-time
+  attribution), closure records, histograms and counters; the engine
+  behind the ``repro.core.stats`` shim.  Operator and closure spans
+  are derived from the same hook.
 * :mod:`repro.obs.events`  -- structured diagnostics (stderr + JSONL
   sinks) replacing ad-hoc prints and warnings.
 * :mod:`repro.obs.report`  -- run ids, the :class:`RunContext` artifact

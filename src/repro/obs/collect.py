@@ -2,18 +2,14 @@
 
 This is the engine behind ``repro.core.stats`` (now a compatibility
 shim).  A :class:`StatsCollector` scopes every measurement to one
-analysis/job; :func:`collecting` installs one for a block.  Three fixes
-over the original ``core/stats.py`` implementation:
+analysis/job; :func:`collecting` installs one for a block.
 
-* **Self-time attribution.**  ``timed_op`` used to double-count nested
-  operators: an outer ``assign`` timer included the inner
-  ``meet_constraint`` time, so summing ``op_seconds`` over-reported
-  total octagon time (the Fig. 8 decomposition no longer added up).
-  The collector now keeps a timer stack; each frame accumulates its
-  children's elapsed time, and ``op_self_seconds`` records elapsed
-  minus children.  ``op_seconds`` stays *inclusive* (useful per
-  operator); ``total_seconds`` sums the *self* times, which is
-  non-overlapping by construction.
+* **One timing hook.**  :func:`timed_op` times every operator *and*
+  closure call of the domains; timers nest on a per-collector stack,
+  so :attr:`StatsCollector.octagon_seconds`, the sum of self times,
+  counts a closure run inside ``substitute`` once.  Phase spans
+  (parse, fixpoint, ...) stay in :mod:`repro.obs.trace` and never
+  enter these tables.
 * **Nested collectors.**  Collectors nest (a batch-level collector
   around per-job collectors).  ``bump()`` events now propagate to
   every collector on the stack, so an inner collector no longer steals
@@ -34,7 +30,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
-from . import metrics
+from . import metrics, trace
 
 # Histogram declarations for the distributions this module observes.
 metrics.REGISTRY.histogram(
@@ -73,6 +69,7 @@ class StatsCollector:
     op_seconds: Dict[str, float] = field(default_factory=dict)
     op_calls: Dict[str, int] = field(default_factory=dict)
     #: Exclusive (self) wall time per operator; sums without overlap.
+    #: Closures are rows here too (``closure``, ``closure_inc``).
     op_self_seconds: Dict[str, float] = field(default_factory=dict)
     closures: List[ClosureRecord] = field(default_factory=list)
     capture_closure_inputs: bool = False
@@ -83,9 +80,9 @@ class StatsCollector:
     #: Distribution collection (off unless metrics export is on).
     histograms_enabled: bool = field(default_factory=metrics.enabled)
     histograms: Dict[str, metrics.HistogramData] = field(default_factory=dict)
-    #: Active ``timed_op`` frames: each entry accumulates child seconds.
-    _op_stack: List[list] = field(default_factory=list, repr=False,
-                                  compare=False)
+    #: Active ``timed_op`` timers, innermost last.
+    _op_stack: List["_Timer"] = field(default_factory=list, repr=False,
+                                      compare=False)
     #: Set on ``collecting()`` exit: global-source deltas are folded in
     #: and the collector stops watching the process-wide counters.
     _counters_frozen: bool = field(default=False, repr=False, compare=False)
@@ -116,10 +113,6 @@ class StatsCollector:
             self.observe("closure_size", record.n, record.kind)
             self.observe("closure_seconds", record.seconds, record.kind)
 
-    def record_closure_input(self, matrix, blocks) -> None:
-        if self.capture_closure_inputs:
-            self.closure_inputs.append((matrix, blocks))
-
     def observe(self, name: str, value: float,
                 label_value: Optional[str] = None) -> None:
         """Feed one observation into a registry-declared histogram."""
@@ -140,25 +133,16 @@ class StatsCollector:
     # summaries used by the benchmark harness
     # ------------------------------------------------------------------
     @property
-    def total_seconds(self) -> float:
-        """Total operator wall time, nested calls counted once."""
+    def octagon_seconds(self) -> float:
+        """Total domain time: the sum of operator and closure self
+        times.  Exact by construction -- closures are frames on the
+        same timer stack as operators, so nothing is counted twice."""
         return sum(self.op_self_seconds.values())
 
     @property
     def full_closures(self) -> List[ClosureRecord]:
         """Full (cubic) closures; incremental re-closures excluded."""
         return [rec for rec in self.closures if "incremental" not in rec.kind]
-
-    @property
-    def closure_seconds(self) -> float:
-        """Time spent in *full* closures.
-
-        Incremental closures run inside the ``assign``/``meet_constraint``
-        operator timers and are already included in ``total_seconds``;
-        full closures run outside any operator timer, so total octagon
-        time is ``total_seconds + closure_seconds``.
-        """
-        return sum(rec.seconds for rec in self.full_closures)
 
     def closure_stats(self) -> Dict[str, float]:
         """The Table 2 statistics: nmin, nmax and #closures."""
@@ -267,50 +251,68 @@ def collecting() -> Iterator[StatsCollector]:
         collector.freeze_counters()
 
 
-@contextmanager
-def timed_op(name: str) -> Iterator[None]:
-    """Attribute the wall time of the block to operator ``name``.
+class _Timer:
+    """One live operator or closure call; see :func:`timed_op`."""
 
-    Nested timers are attributed correctly: the inclusive time lands in
-    ``op_seconds`` while ``op_self_seconds`` gets elapsed minus the
-    children's elapsed, so decomposition sums are exact.
+    __slots__ = ("collector", "name", "attrs", "start", "child")
+
+    def __init__(self, collector: Optional[StatsCollector], name: str,
+                 attrs: dict) -> None:
+        self.collector = collector
+        self.name = name
+        self.attrs = attrs
+        self.child = 0.0  # nested timers' elapsed seconds accumulate here
+
+    def __enter__(self) -> "_Timer":
+        if self.collector is not None:
+            self.collector._op_stack.append(self)
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        end = time.perf_counter()
+        elapsed = end - self.start
+        collector = self.collector
+        if collector is not None:
+            stack = collector._op_stack
+            stack.pop()
+            if stack:
+                stack[-1].child += elapsed
+            collector.record_op(self.name, elapsed, elapsed - self.child)
+            attrs = self.attrs
+            if "kind" in attrs:
+                collector.record_closure(ClosureRecord(
+                    attrs["n"], attrs["kind"], elapsed, attrs["components"]))
+        trace.emit(self.name, self.start, end, args=self.attrs)
+
+
+def timed_op(name: str, /, **attrs):
+    """Time one operator or closure call of an octagon, zone or APRON
+    element -- the one timing hook of the domains.
+
+    One ``perf_counter`` pair feeds the active collector's call,
+    inclusive-time and self-time tables (a nested timer's elapsed time
+    leaves its parent's self time, so self times sum without overlap),
+    the ``op_seconds`` histogram, and -- when tracing is on -- one
+    Chrome ``X`` event whose args are ``attrs``.  A closure passes
+    ``n``, ``kind`` and ``components``: that also records a
+    :class:`ClosureRecord` and feeds the closure histograms.  With no
+    collector and tracing off this is the tracer's shared no-op span.
     """
     collector = getattr(_TLS, "active", None)
-    if collector is None:
-        yield
-        return
-    frame = [0.0]  # children's elapsed seconds accumulate here
-    stack = collector._op_stack
-    stack.append(frame)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        elapsed = time.perf_counter() - start
-        stack.pop()
-        if stack:
-            stack[-1][0] += elapsed
-        collector.record_op(name, elapsed, elapsed - frame[0])
+    if collector is None and not trace.enabled():
+        return trace.NULL_SPAN
+    return _Timer(collector, name, attrs)
 
 
-def record_closure(n: int, kind: str, seconds: float, components: int = 1) -> None:
-    active = getattr(_TLS, "active", None)
-    if active is not None:
-        active.record_closure(ClosureRecord(n, kind, seconds, components))
-
-
-def record_closure_input(matrix, blocks) -> None:
-    """Capture a full-closure input (matrix copy + partition blocks)."""
+def capture_closure_input(matrix, blocks) -> None:
+    """Store a copy of a full-closure input (matrix and partition
+    blocks) when the active collector captures them; the copy is not
+    paid otherwise."""
     active = getattr(_TLS, "active", None)
     if active is not None and active.capture_closure_inputs:
-        active.record_closure_input(matrix, blocks)
-
-
-def capturing_closure_inputs() -> bool:
-    """True iff a collector wants full-closure inputs (callers can then
-    skip the defensive matrix copy on the no-collector hot path)."""
-    active = getattr(_TLS, "active", None)
-    return active is not None and active.capture_closure_inputs
+        active.closure_inputs.append(
+            (matrix.copy(), [list(block) for block in blocks]))
 
 
 def bump(name: str, amount: int = 1) -> None:
@@ -359,9 +361,7 @@ __all__ = [
     "active_collector",
     "bump",
     "bump_max",
-    "capturing_closure_inputs",
+    "capture_closure_input",
     "collecting",
-    "record_closure",
-    "record_closure_input",
     "timed_op",
 ]

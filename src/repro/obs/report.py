@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Collection, Dict, List, Optional, Sequence
 
 from . import events, metrics, trace
 
@@ -163,12 +163,14 @@ def operator_rows(summary: Dict) -> List[List[object]]:
     return rows
 
 
-def phase_rows(trace_events: Sequence[dict]) -> List[List[object]]:
-    """Aggregate span durations by name from Chrome trace events."""
+def phase_rows(trace_events: Sequence[dict],
+               exclude: Collection[str] = ()) -> List[List[object]]:
+    """Aggregate span durations by name from Chrome trace events,
+    skipping the names in ``exclude`` (the operator table's rows)."""
     totals: Dict[str, float] = {}
     counts: Dict[str, int] = {}
     for event in trace_events:
-        if event.get("ph") != "X":
+        if event.get("ph") != "X" or event["name"] in exclude:
             continue
         name = event["name"]
         totals[name] = totals.get(name, 0.0) + float(event.get("dur", 0.0))
@@ -273,14 +275,15 @@ def render_report(log_path: str,
     rows = operator_rows(summary)
     if rows:
         out.append("")
-        out.append("Per-operator time (self time excludes nested operators):")
+        out.append("Per-operator time (self time excludes nested operators "
+                   "and closures):")
         out.append(_table(
             ["operator", "calls", "total s", "self s", "self %"], rows))
 
     trace_file = trace_path or summary.get("trace")
     if trace_file and os.path.exists(str(trace_file)):
         spans = trace.load(str(trace_file))
-        rows = phase_rows(spans)
+        rows = phase_rows(spans, exclude=summary.get("op_seconds") or ())
         if rows:
             out.append("")
             out.append(f"Per-phase spans (from {trace_file}):")

@@ -306,7 +306,7 @@ def execute_job(job: AnalysisJob) -> JobResult:
         domain=job.domain,
         outcome=OUTCOME_DEGRADED if result.degraded else OUTCOME_OK,
         seconds=result.seconds,
-        octagon_seconds=collector.total_seconds + collector.closure_seconds,
+        octagon_seconds=collector.octagon_seconds,
         compile_transfer=job.compile_transfer,
         checks=checks,
         procedures=procedures,

@@ -33,7 +33,6 @@ class WorkloadRun:
     domain: str
     total_seconds: float
     octagon_seconds: float
-    closure_seconds: float
     closures: int
     nmin: int
     nmax: int
@@ -97,8 +96,7 @@ def run_workload(
         benchmark=benchmark.name,
         domain=domain,
         total_seconds=total,
-        octagon_seconds=collector.total_seconds + collector.closure_seconds,
-        closure_seconds=collector.closure_seconds,
+        octagon_seconds=collector.octagon_seconds,
         closures=int(cstats["closures"]),
         nmin=int(cstats["nmin"]),
         nmax=int(cstats["nmax"]),

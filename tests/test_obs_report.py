@@ -94,14 +94,18 @@ class TestRows:
             100.0, abs=0.2)
 
     def test_phase_rows_aggregate_durations(self):
-        rows = phase_rows([
+        events = [
             {"ph": "X", "name": "closure", "dur": 1000.0},
             {"ph": "X", "name": "closure", "dur": 500.0},
             {"ph": "M", "name": "thread_name"},
             {"ph": "X", "name": "parse", "dur": 100.0},
-        ])
+        ]
+        rows = phase_rows(events)
         assert rows[0][:2] == ["closure", 2]
         assert rows[0][2] == "1.500"
+        # Operator-table rows are left out of the phase table.
+        assert [r[0] for r in phase_rows(events, exclude={"closure": 1.5})] == [
+            "parse"]
 
 
 class TestRenderReport:

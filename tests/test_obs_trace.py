@@ -153,7 +153,25 @@ class TestAnalysisSpans:
         closures = [e for e in trace.events()
                     if e["name"] in ("closure", "closure_inc")]
         assert closures
-        assert all("n" in e["args"] for e in closures)
+        assert all({"n", "kind", "components"} <= set(e["args"])
+                   for e in closures)
+
+    def test_execute_job_traces_operators_and_closures(self):
+        """Spans derive from the one timing hook: every operator and
+        closure call of a traced job is an ``X`` event."""
+        from repro.service.job import execute_job
+
+        result = execute_job(AnalysisJob(source=SOURCE,
+                                         telemetry=("trace",)))
+        spans = [e for e in result.trace_events if e.get("ph") == "X"]
+        names = {e["name"] for e in spans}
+        assert {"join", "assign", "closure"} <= names
+        for name, calls in result.op_calls.items():
+            assert sum(e["name"] == name for e in spans) == calls, name
+        closures = [e for e in spans if e["name"] == "closure"]
+        assert all(isinstance(e["args"]["n"], int) and e["args"]["kind"]
+                   and "components" in e["args"] for e in closures)
+        assert trace.events() == []  # the job's own session took them
 
     def test_disabled_analysis_records_nothing(self):
         Analyzer().analyze(SOURCE)

@@ -164,9 +164,15 @@ class TestResultCache:
             entry["result"]["schema"] = 6
             entry["result"]["kernel_backend"] = "numpy"
 
+        def schema_7(entry):
+            # Pre-v8 timings: octagon_seconds double-counted closures
+            # run inside operators, and closures had no table rows.
+            entry["result"]["schema"] = 7
+
         job = AnalysisJob(source=OK_SOURCE)
         result = execute_job(job)
-        for i, stale in enumerate((old_version, schema_6_with_kernel_backend)):
+        for i, stale in enumerate((old_version, schema_6_with_kernel_backend,
+                                   schema_7)):
             cache = ResultCache(str(tmp_path / str(i)))
             cache.put(job.key(), result)
             path = cache._path(job.key())

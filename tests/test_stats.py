@@ -5,16 +5,16 @@ import time
 import pytest
 
 from repro.core import Octagon, OctConstraint
+from repro.core.constraints import LinExpr
 from repro.core.stats import (
-    ClosureRecord,
     OpCounter,
     StatsCollector,
     active_collector,
     bump,
     collecting,
-    record_closure,
     timed_op,
 )
+from repro.obs import trace
 
 
 class TestCollector:
@@ -37,19 +37,31 @@ class TestCollector:
         assert col.op_seconds["join"] > 0
 
     def test_no_collector_is_noop(self):
+        # No collector, tracing off: one shared object, nothing recorded.
         with timed_op("whatever"):
             pass
-        record_closure(3, "dense", 0.1)
+        null = timed_op("closure", n=3, kind="dense", components=1)
+        assert null is timed_op("join")
+        with null:
+            pass
 
     def test_closure_stats(self):
-        col = StatsCollector()
-        col.record_closure(ClosureRecord(5, "dense", 0.1))
-        col.record_closure(ClosureRecord(9, "decomposed", 0.2, components=3))
-        col.record_closure(ClosureRecord(2, "incremental", 0.05))
+        with collecting() as col:
+            with timed_op("closure", n=5, kind="dense", components=1):
+                pass
+            with timed_op("closure", n=9, kind="decomposed", components=3):
+                pass
+            with timed_op("closure_inc", n=2, kind="incremental",
+                          components=1):
+                pass
         stats = col.closure_stats()
         assert stats == {"nmin": 5, "nmax": 9, "closures": 2, "incremental": 1}
-        assert col.closure_seconds == 0.1 + 0.2  # incremental excluded
         assert len(col.full_closures) == 2
+        assert col.closures[1].components == 3
+        # Closures are operator-table rows, timed by the same pair.
+        assert col.op_calls == {"closure": 2, "closure_inc": 1}
+        assert sum(rec.seconds for rec in col.full_closures) == (
+            pytest.approx(col.op_seconds["closure"], rel=1e-9))
 
     def test_empty_stats(self):
         assert StatsCollector().closure_stats()["closures"] == 0
@@ -110,8 +122,8 @@ class TestSelfTime:
                     time.sleep(0.001)
         assert sum(col.op_self_seconds.values()) == pytest.approx(
             col.op_seconds["a"], rel=1e-6)
-        assert col.total_seconds == pytest.approx(col.op_seconds["a"],
-                                                  rel=1e-6)
+        assert col.octagon_seconds == pytest.approx(col.op_seconds["a"],
+                                                    rel=1e-6)
 
     def test_sibling_ops_sum_exactly(self):
         with collecting() as col:
@@ -122,6 +134,28 @@ class TestSelfTime:
         assert col.op_calls["child"] == 3
         assert (col.op_self_seconds["parent"] + col.op_seconds["child"]
                 == pytest.approx(col.op_seconds["parent"], rel=1e-6))
+
+    def test_closure_in_substitute_counted_once(self):
+        """A full closure run inside ``substitute_linexpr`` (unclosed
+        input, non-unit coefficient) is a child frame of ``substitute``:
+        its time leaves the operator's self time, so octagon time equals
+        the wall time of the outermost frame instead of exceeding it."""
+        o = Octagon.from_constraints(3, [OctConstraint.diff(0, 1, 2.0),
+                                         OctConstraint.upper(1, 5.0)])
+        assert not o.closed
+        with trace.session() as spans, collecting() as col:
+            with timed_op("call"):
+                o.substitute_linexpr(0, LinExpr({1: 2.0, 2: 1.0}, 1.0))
+        assert col.closure_stats()["closures"] == 1
+        assert col.octagon_seconds == pytest.approx(
+            sum(col.op_self_seconds.values()), rel=1e-9)
+        assert col.octagon_seconds == pytest.approx(
+            col.op_seconds["call"], rel=1e-9)
+        assert col.op_self_seconds["substitute"] < col.op_seconds["substitute"]
+        (sub,) = [e for e in spans.events if e["name"] == "substitute"]
+        (close,) = [e for e in spans.events if e["name"] == "closure"]
+        assert sub["ts"] <= close["ts"]
+        assert close["ts"] + close["dur"] <= sub["ts"] + sub["dur"]
 
     def test_leaf_op_self_equals_inclusive(self):
         with collecting() as col:
