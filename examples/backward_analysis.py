@@ -68,7 +68,7 @@ def triage(name, source):
             continue
         env = result.env
         if env.get("err") == 1.0:
-            print(f"   confirmed concretely with x = {env['x']:g} "
+            print(f"   confirmed concretely with x = {float(env['x']):g} "
                   f"(seed {seed})")
             break
     print()

@@ -1,4 +1,4 @@
-"""Abstract-interpretation substrate: transfer functions, the worklist
+"""Abstract-interpretation substrate: transfer functions, the recursive
 fixpoint engine with widening/narrowing, and the end-to-end analyzer."""
 
 from .._lazy import lazy_exports

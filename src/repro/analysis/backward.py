@@ -82,7 +82,7 @@ class BackwardEngine:
         plans = (compile_backward_cfg(cfg, integer_mode=self.integer_mode)
                  if self.compile_transfer else None)
         if plans is not None:
-            succ_pairs = plans.successors
+            succ_pairs = plans.pairs
         else:
             succ_pairs = {node: [(e.dst, e) for e in edges]
                           for node, edges in cfg.successors.items()}

@@ -504,36 +504,41 @@ def _compile_assign(action: Assign, var_index: Dict[str, int]) -> Callable:
 class CompiledCFG:
     """Per-edge plans of one CFG, as plan-resolved adjacency lists.
 
-    ``predecessors[node]`` / ``successors[node]`` hold ``(other_node,
-    plan)`` pairs aligned with the CFG's own adjacency lists; a ``None``
+    ``pairs[node]`` holds ``(other_node, plan)`` pairs aligned with the
+    CFG adjacency list the engine walks -- ``cfg.predecessors`` for the
+    forward engine, ``cfg.successors`` for the backward one; a ``None``
     plan is the identity.
     """
 
-    __slots__ = ("predecessors", "successors", "n_plans")
+    __slots__ = ("pairs", "n_plans")
 
-    def __init__(self, predecessors, successors, n_plans: int):
-        self.predecessors = predecessors
-        self.successors = successors
+    def __init__(self, pairs, n_plans: int):
+        self.pairs = pairs
         self.n_plans = n_plans
 
 
-def compile_cfg(cfg: CFG, *, integer_mode: bool = True) -> CompiledCFG:
-    """Compile every edge action of ``cfg`` exactly once."""
-    var_index = cfg.var_index
-    plans: Dict[int, TransferPlan] = {}
+def _compile_edges(adjacency, other_end: str, compile_one, var_index,
+                   integer_mode: bool) -> CompiledCFG:
+    """Compile every edge of ``adjacency`` (``node -> edges``) once."""
     n_plans = 0
-    for edge in cfg.edges:
-        plan = compile_action(edge.action, var_index,
-                              integer_mode=integer_mode)
-        plans[id(edge)] = plan
-        if plan is not None:
-            n_plans += 1
-    pred = {node: [(e.src, plans[id(e)]) for e in edges]
-            for node, edges in cfg.predecessors.items()}
-    succ = {node: [(e.dst, plans[id(e)]) for e in edges]
-            for node, edges in cfg.successors.items()}
+    pairs = {}
+    for node, edges in adjacency.items():
+        row = []
+        for edge in edges:
+            plan = compile_one(edge.action, var_index,
+                               integer_mode=integer_mode)
+            if plan is not None:
+                n_plans += 1
+            row.append((getattr(edge, other_end), plan))
+        pairs[node] = row
     _COUNTS["plans_compiled"] += n_plans
-    return CompiledCFG(pred, succ, n_plans)
+    return CompiledCFG(pairs, n_plans)
+
+
+def compile_cfg(cfg: CFG, *, integer_mode: bool = True) -> CompiledCFG:
+    """Forward plans for every edge, as predecessor adjacency lists."""
+    return _compile_edges(cfg.predecessors, "src", compile_action,
+                          cfg.var_index, integer_mode)
 
 
 def compile_backward_action(action: Action, var_index: Dict[str, int], *,
@@ -588,18 +593,5 @@ def compile_backward_action(action: Action, var_index: Dict[str, int], *,
 
 def compile_backward_cfg(cfg: CFG, *, integer_mode: bool = True) -> CompiledCFG:
     """Backward plans for every edge, as successor adjacency lists."""
-    var_index = cfg.var_index
-    plans: Dict[int, TransferPlan] = {}
-    n_plans = 0
-    for edge in cfg.edges:
-        plan = compile_backward_action(edge.action, var_index,
-                                       integer_mode=integer_mode)
-        plans[id(edge)] = plan
-        if plan is not None:
-            n_plans += 1
-    pred = {node: [(e.src, plans[id(e)]) for e in edges]
-            for node, edges in cfg.predecessors.items()}
-    succ = {node: [(e.dst, plans[id(e)]) for e in edges]
-            for node, edges in cfg.successors.items()}
-    _COUNTS["plans_compiled"] += n_plans
-    return CompiledCFG(pred, succ, n_plans)
+    return _compile_edges(cfg.successors, "dst", compile_backward_action,
+                          cfg.var_index, integer_mode)

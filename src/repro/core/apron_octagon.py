@@ -654,13 +654,6 @@ class ApronOctagon:
                 ext = ext.meet_constraints(constraints)
         return ext.remove_dimensions([t])
 
-    def substitute_var(self, v: int, w: int, *, coeff: int = 1,
-                       offset: float = 0.0) -> "ApronOctagon":
-        return self.substitute_linexpr(v, LinExpr({w: float(coeff)}, offset))
-
-    def substitute_const(self, v: int, c: float) -> "ApronOctagon":
-        return self.substitute_linexpr(v, LinExpr({}, c))
-
     # ------------------------------------------------------------------
     # bounds and export
     # ------------------------------------------------------------------

@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-import numpy as np
-
 from .halfmat import HalfMat
 from .indexing import cap, matpos2
 from .stats import OpCounter
@@ -81,16 +79,3 @@ def apron_closure_op_count(n: int) -> int:
     """
     return 16 * n ** 3 + 22 * n ** 2 + 6 * n
 
-
-def closure_apron_fullmat(m: np.ndarray, counter: Optional[OpCounter] = None) -> bool:
-    """Convenience wrapper: run the APRON closure on a full coherent DBM.
-
-    Used by benchmarks that hold octagons as NumPy matrices but want to
-    time the scalar baseline: converts to the half layout, closes, and
-    writes the result back.
-    """
-    half = HalfMat.from_full(m)
-    empty = closure_apron(half, counter)
-    if not empty:
-        m[...] = half.to_full()
-    return empty

@@ -694,16 +694,6 @@ class Octagon:
             return self.copy()
         return closed.meet_constraints(constraints)
 
-    def sat_constraint(self, cons: OctConstraint) -> bool:
-        """Does every point of the octagon satisfy the constraint?"""
-        if self.is_bottom():
-            return True
-        closed = self.closure()
-        if self._bottom:
-            return True
-        (r, s, c) = dbm_cells(cons)[0]
-        return bool(closed.mat[r, s] <= c)
-
     # ------------------------------------------------------------------
     # projections, assignments (transfer functions)
     # ------------------------------------------------------------------
@@ -964,60 +954,6 @@ class Octagon:
                 ext = ext.meet_constraints(constraints)
         return ext.remove_dimensions([t])
 
-    def substitute_var(self, v: int, w: int, *, coeff: int = 1,
-                       offset: float = 0.0) -> "Octagon":
-        """Backward form of ``v := coeff * w + offset``."""
-        return self.substitute_linexpr(v, LinExpr({w: float(coeff)}, offset))
-
-    def substitute_const(self, v: int, c: float) -> "Octagon":
-        """Backward form of ``v := c``."""
-        return self.substitute_linexpr(v, LinExpr({}, c))
-
-    def tighten_integers(self) -> "Octagon":
-        """Integer tightening (Mine 2006): sound when every variable is
-        integer-valued.
-
-        Floors every finite bound, rounds the unary diagonal bounds down
-        to even integers (``O[i, i^1] <- 2 * floor(O[i, i^1] / 2)``,
-        i.e. ``v <= floor(c)``) and re-strengthens.  Returns a new
-        octagon (bottom if the tightening exposes emptiness, e.g.
-        ``1 <= 2x <= 1`` over the integers).
-
-        The result is *sound* but not necessarily in canonical closed
-        form -- computing the exact integer closure needs the more
-        involved algorithm of Bagnara, Hill & Zaffanella (FMSD 2009,
-        the paper's [3]); we leave the result unclosed and let the next
-        closure canonicalise, which is the standard practical choice.
-        """
-        if self.is_bottom():
-            return self.copy()
-        closed = self.closure()
-        if self._bottom:
-            return self.copy()
-        out = closed.copy()
-        with stats.timed_op("tighten"):
-            from .strengthen import (
-                is_bottom_numpy,
-                reset_diagonal_numpy,
-                tighten_integer_numpy,
-            )
-            # Integral non-unary bounds: floor every finite entry (all
-            # our constraints have unit coefficients, so each entry is a
-            # bound on an integer-valued expression).
-            m = out._write_mat()
-            finite = np.isfinite(m)
-            m[finite] = np.floor(m[finite])
-            tighten_integer_numpy(m)
-            kernels.strengthen(m)
-            if is_bottom_numpy(m):
-                out._become_bottom()
-                return out
-            reset_diagonal_numpy(m)
-            out._refresh_structure_exact()
-            out.closed = False
-        _sentinel.check(out)
-        return out
-
     # ------------------------------------------------------------------
     # bounds and export
     # ------------------------------------------------------------------
@@ -1079,11 +1015,12 @@ class Octagon:
         vhat = np.empty(2 * self.n)
         vhat[0::2] = vals
         vhat[1::2] = -vals
-        diff = vhat[None, :] - vhat[:, None]
-        finite = np.isfinite(self.mat)
         # "Not above" rather than "at most": an infinite coordinate
-        # (a float run that overflowed) makes inf - inf = nan on the
+        # (a value beyond float range) makes inf - inf = nan on the
         # diagonal, which violates nothing -- as in ApronOctagon.
+        with np.errstate(invalid="ignore"):
+            diff = vhat[None, :] - vhat[:, None]
+        finite = np.isfinite(self.mat)
         return not np.any(diff[finite] > self.mat[finite] + tol)
 
     # ------------------------------------------------------------------
@@ -1120,75 +1057,6 @@ class Octagon:
         part = Partition(len(keep), blocks)
         return Octagon(len(keep), mat, part, count_nni(mat),
                        closed=cur.closed, bottom=cur._bottom, policy=self.policy)
-
-    def expand(self, v: int, k: int) -> "Octagon":
-        """APRON's *expand*: append ``k`` fresh copies of variable ``v``.
-
-        Each copy independently satisfies every constraint ``v``
-        satisfies against the other variables (and ``v``'s unary
-        bounds); the copies are unrelated to each other and to ``v``
-        beyond what closure later derives.  Used to materialise
-        summarised dimensions (e.g. array cells).
-        """
-        if k <= 0:
-            raise ValueError("expand needs at least one copy")
-        if self._bottom:
-            out = Octagon.bottom(self.n + k, policy=self.policy)
-            return out
-        closed = self.closure()
-        if self._bottom:
-            return Octagon.bottom(self.n + k, policy=self.policy)
-        out = closed.add_dimensions(k)
-        m = out.mat
-        src = [2 * v, 2 * v + 1]
-        old = 2 * self.n
-        for copy in range(k):
-            dst = [old + 2 * copy, old + 2 * copy + 1]
-            # Constraints against the original variables only.
-            m[np.ix_(dst, range(old))] = closed.mat[np.ix_(src, range(old))]
-            m[np.ix_(range(old), dst)] = closed.mat[np.ix_(range(old), src)]
-            # Unary bounds of the copy.
-            m[dst[0], dst[1]] = closed.mat[src[0], src[1]]
-            m[dst[1], dst[0]] = closed.mat[src[1], src[0]]
-            # The copy's relation to v itself must be dropped (the
-            # gather above copied v's column into the copy's rows).
-            m[np.ix_(dst, src)] = INF
-            m[np.ix_(src, dst)] = INF
-        out.closed = False
-        out._refresh_structure_exact()
-        return out
-
-    def fold(self, variables: Sequence[int]) -> "Octagon":
-        """APRON's *fold*: collapse ``variables`` into the first one.
-
-        The surviving variable's constraints are the join (pointwise
-        max) of the folded variables' constraints -- sound for a
-        summary that may stand for any of them -- and the rest are
-        removed.
-        """
-        folded = list(dict.fromkeys(variables))
-        if len(folded) < 2:
-            raise ValueError("fold needs at least two variables")
-        if any(not 0 <= v < self.n for v in folded):
-            raise ValueError("variable out of range")
-        if self._bottom:
-            keep_n = self.n - (len(folded) - 1)
-            return Octagon.bottom(keep_n, policy=self.policy)
-        closed = self.closure()
-        if self._bottom:
-            keep_n = self.n - (len(folded) - 1)
-            return Octagon.bottom(keep_n, policy=self.policy)
-        target = folded[0]
-        others = folded[1:]
-        # The summary may stand for any folded variable, so fold is the
-        # join over "rename w to target" copies, with the leftover
-        # folded dimensions projected away.
-        acc = closed
-        for w in others:
-            perm = list(range(self.n))
-            perm[target], perm[w] = perm[w], perm[target]
-            acc = acc.join(closed.permute(perm))
-        return acc.remove_dimensions(others)
 
     def permute(self, perm: Sequence[int]) -> "Octagon":
         """Rename variables: new variable ``i`` is old ``perm[i]``."""

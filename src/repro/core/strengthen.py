@@ -14,8 +14,7 @@ into a vector ``d`` with ``d[i] = O[i, i^1]``, then perform one
 vectorised rank-1-style update.
 
 This module provides scalar (instrumented) and vectorised variants for
-both matrix layouts, plus emptiness detection and the optional integer
-tightening used when all variables are integral.
+both matrix layouts, plus emptiness detection.
 """
 
 from __future__ import annotations
@@ -88,20 +87,6 @@ def strengthen_sparse_numpy(m: np.ndarray) -> int:
     np.minimum(sub, cand, out=sub)
     m[np.ix_(rows, cols)] = sub
     return int(rows.size) * int(cols.size)
-
-
-def tighten_integer_numpy(m: np.ndarray) -> None:
-    """Integer tightening: ``O[i, i^1] <- 2 * floor(O[i, i^1] / 2)``.
-
-    Sound only when every variable is integer-valued; an optional
-    extension (Mine 2006) applied before strengthening.
-    """
-    dim = m.shape[0]
-    ws = get_workspace(dim)
-    d = m[ws.arange, ws.xor]
-    finite = np.isfinite(d)
-    d[finite] = 2.0 * np.floor(d[finite] / 2.0)
-    m[ws.arange, ws.xor] = d
 
 
 def is_bottom_numpy(m: np.ndarray) -> bool:

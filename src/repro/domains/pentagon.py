@@ -361,8 +361,12 @@ class Pentagon:
         vals = np.asarray(values, dtype=np.float64)
         if not (np.all(vals >= self.lo - tol) and np.all(vals <= self.hi + tol)):
             return False
-        return all(vals[v] < vals[w] + tol
-                   for v in range(self.n) for w in self.less[v])
+        # "Not at or above": two infinite coordinates (values beyond
+        # float range) give inf - inf = nan, which violates nothing --
+        # as in Octagon.contains_point.
+        with np.errstate(invalid="ignore"):
+            return not any(vals[v] - vals[w] >= tol
+                           for v in range(self.n) for w in self.less[v])
 
     def __repr__(self) -> str:
         if self._bottom:

@@ -545,9 +545,10 @@ class Zone:
         if self._bottom:
             return False
         ext = np.concatenate([[0.0], np.asarray(values, dtype=np.float64)])
-        diff = ext[None, :] - ext[:, None]
-        finite = np.isfinite(self.mat)
         # nan (inf - inf) violates nothing; see Octagon.contains_point.
+        with np.errstate(invalid="ignore"):
+            diff = ext[None, :] - ext[:, None]
+        finite = np.isfinite(self.mat)
         return not np.any(diff[finite] > self.mat[finite] + tol)
 
     def __repr__(self) -> str:

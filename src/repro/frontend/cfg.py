@@ -12,8 +12,10 @@ Nodes are integer program points; edges carry an atomic *action*:
 discharges them against the invariant at that node.
 
 ``while`` condition nodes are collected in ``loop_heads`` -- the
-widening points of the fixpoint engine.  A reverse-postorder of the
-graph (back edges ignored) provides the worklist priority.
+widening points of the fixpoint engine -- and the loops themselves in
+the nesting tree ``loop_tree``, which drives the engine's recursive
+iteration.  A reverse-postorder of the graph (back edges ignored)
+orders the nodes of each region.
 """
 
 from __future__ import annotations
@@ -68,9 +70,10 @@ class CFG:
     variables: List[str]
     successors: Dict[int, List[CfgEdge]] = field(default_factory=dict)
     predecessors: Dict[int, List[CfgEdge]] = field(default_factory=dict)
-    #: Loop nesting tree (top-level loops).  None for hand-built CFGs,
-    #: in which case the engine falls back to the generic worklist.
-    loop_tree: Optional[List[LoopInfo]] = None
+    #: Loop nesting tree (top-level loops).  Its heads, nested loops
+    #: included, must be exactly ``loop_heads``: the fixpoint engine
+    #: solves loops by this tree and rejects a CFG where they differ.
+    loop_tree: List[LoopInfo] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.successors:
@@ -83,7 +86,9 @@ class CFG:
         return {name: i for i, name in enumerate(self.variables)}
 
     def reverse_postorder(self) -> List[int]:
-        """Node order for the worklist (back edges ignored via DFS state)."""
+        """Reverse postorder from the entry (back edges ignored via DFS
+        state): the forward engine's node order within a region, and
+        reversed, the backward engine's worklist priority."""
         order: List[int] = []
         visited: Set[int] = set()
         # Iterative DFS (generated programs can have very deep CFGs).

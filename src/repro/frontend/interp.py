@@ -1,8 +1,9 @@
 """A concrete interpreter for the mini language.
 
-Executes a procedure with concrete (integer) values, resolving the
-non-deterministic constructs (``x = [l, u]``, ``havoc``) with a seeded
-random generator.  Three uses:
+Executes a procedure with exact rational values (integers, unless a
+program divides: ``x / c`` is multiplication by the float constant
+``1 / c``), resolving the non-deterministic constructs (``x = [l, u]``,
+``havoc``) with a seeded random generator.  Three uses:
 
 * **soundness fuzzing** -- every completed concrete run must end inside
   the abstract interpreter's exit invariant, and must never violate an
@@ -10,16 +11,23 @@ random generator.  Three uses:
 * **counterexample confirmation** for failed assertion checks;
 * a reference semantics for documentation and examples.
 
-Runs are bounded (``max_steps``): an execution that exceeds the budget
-is reported as incomplete rather than silently truncated, since a
+Arithmetic is exact because floats are not the program's semantics:
+at ``b`` near ``1e19``, ``1 + b == b`` in floats, so a float run would
+skip a branch guarded by ``b < 1 + b`` that every integer run takes.
+
+Runs are bounded (``max_steps``, and ``MAX_BITS`` per value so exact
+arithmetic stays cheap): an execution that exceeds the budget is
+reported as incomplete rather than silently truncated, since a
 truncated environment is *not* a real exit state.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence
 
 from .ast_nodes import (
     AExpr, Assert, Assign, AssignInterval, Assume, BExpr, BinOp, Block,
@@ -30,20 +38,27 @@ from .ast_nodes import (
 #: Range used for unconstrained non-deterministic values (havoc).
 HAVOC_RANGE = 64
 
+#: Largest numerator or denominator, in bits, a run may assign.  Far
+#: beyond float range (1024 bits), yet small enough that one product
+#: of such values costs microseconds; a run that needs more (nested
+#: loops squaring a value) is incomplete, like one out of steps.
+MAX_BITS = 1 << 14
+
 
 class InfeasiblePath(Exception):
     """Raised when an ``assume`` fails: this execution does not exist."""
 
 
 class StepBudgetExceeded(Exception):
-    """Raised when the execution exceeds its step budget."""
+    """Raised when the execution exceeds its step budget, or assigns a
+    value larger than ``MAX_BITS``."""
 
 
 @dataclass
 class RunResult:
     """Outcome of one concrete execution."""
 
-    env: Dict[str, float]
+    env: Dict[str, Fraction]
     assertion_failures: List[str] = field(default_factory=list)
     steps: int = 0
 
@@ -51,9 +66,22 @@ class RunResult:
     def ok(self) -> bool:
         return not self.assertion_failures
 
+    def point(self, names: Sequence[str]) -> List[float]:
+        """The values of ``names`` as floats, for ``contains_point``:
+        a value beyond float range becomes ``inf`` or ``-inf``."""
+        return [to_float(self.env[name]) for name in names]
+
+
+def to_float(value: Fraction) -> float:
+    """Nearest float to an exact value; ``+-inf`` beyond float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
 
 class Interpreter:
-    """Concrete executor over integer-valued environments."""
+    """Concrete executor over exact rational environments."""
 
     def __init__(self, rng: Optional[random.Random] = None,
                  max_steps: int = 20_000):
@@ -63,9 +91,9 @@ class Interpreter:
     # ------------------------------------------------------------------
     # expressions
     # ------------------------------------------------------------------
-    def eval_aexpr(self, expr: AExpr, env: Dict[str, float]) -> float:
+    def eval_aexpr(self, expr: AExpr, env: Dict[str, Fraction]) -> Fraction:
         if isinstance(expr, Num):
-            return float(expr.value)
+            return Fraction(expr.value)
         if isinstance(expr, Var):
             return env.setdefault(expr.name, self._fresh())
         if isinstance(expr, Neg):
@@ -81,7 +109,7 @@ class Interpreter:
                 return left * right
         raise TypeError(f"cannot evaluate {expr!r}")
 
-    def eval_bexpr(self, cond: BExpr, env: Dict[str, float]) -> bool:
+    def eval_bexpr(self, cond: BExpr, env: Dict[str, Fraction]) -> bool:
         if isinstance(cond, BoolLit):
             return cond.value
         if isinstance(cond, Not):
@@ -101,8 +129,8 @@ class Interpreter:
             }[cond.op]
         raise TypeError(f"cannot evaluate {cond!r}")
 
-    def _fresh(self) -> float:
-        return float(self.rng.randint(-HAVOC_RANGE, HAVOC_RANGE))
+    def _fresh(self) -> Fraction:
+        return Fraction(self.rng.randint(-HAVOC_RANGE, HAVOC_RANGE))
 
     # ------------------------------------------------------------------
     # statements
@@ -113,7 +141,7 @@ class Interpreter:
         Raises :class:`InfeasiblePath` if an ``assume`` fails and
         :class:`StepBudgetExceeded` if the budget runs out.
         """
-        env: Dict[str, float] = {}
+        env: Dict[str, Fraction] = {}
         result = RunResult(env)
         self._exec(proc.body, env, result)
         return result
@@ -123,16 +151,20 @@ class Interpreter:
         if result.steps > self.max_steps:
             raise StepBudgetExceeded()
 
-    def _exec(self, stmt, env: Dict[str, float], result: RunResult) -> None:
+    def _exec(self, stmt, env: Dict[str, Fraction], result: RunResult) -> None:
         self._tick(result)
         if isinstance(stmt, Block):
             for sub in stmt.statements:
                 self._exec(sub, env, result)
         elif isinstance(stmt, Assign):
-            env[stmt.target] = self.eval_aexpr(stmt.expr, env)
+            value = self.eval_aexpr(stmt.expr, env)
+            if max(value.numerator.bit_length(),
+                   value.denominator.bit_length()) > MAX_BITS:
+                raise StepBudgetExceeded()
+            env[stmt.target] = value
         elif isinstance(stmt, AssignInterval):
             lo, hi = int(stmt.lo), int(stmt.hi)
-            env[stmt.target] = float(self.rng.randint(lo, hi))
+            env[stmt.target] = Fraction(self.rng.randint(lo, hi))
         elif isinstance(stmt, Havoc):
             env[stmt.target] = self._fresh()
         elif isinstance(stmt, Assume):

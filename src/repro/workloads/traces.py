@@ -39,7 +39,7 @@ STATE_METHODS = frozenset({
 #: Domain methods that only query a state.
 QUERY_METHODS = frozenset({
     "is_bottom", "is_top", "is_leq", "is_eq", "bounds", "bound_linexpr",
-    "to_box", "sat_constraint", "close", "closure",
+    "to_box", "close", "closure",
 })
 
 

@@ -94,8 +94,9 @@ class TestSubstitutionParity:
         off = float(data.draw(st.integers(-4, 4)))
         if w == v and coeff == -1:
             return  # negation substitution exercised separately
-        assert equal_state(o.substitute_var(v, w, coeff=coeff, offset=off),
-                           a.substitute_var(v, w, coeff=coeff, offset=off))
+        expr = LinExpr({w: float(coeff)}, off)
+        assert equal_state(o.substitute_linexpr(v, expr),
+                           a.substitute_linexpr(v, expr))
 
     @SET
     @given(st.integers(2, 4), st.data())
@@ -103,7 +104,9 @@ class TestSubstitutionParity:
         o, a = make_pair(n, data.draw(dbm_entries(n, 12)))
         v = data.draw(st.integers(0, n - 1))
         c = float(data.draw(st.integers(-5, 8)))
-        assert equal_state(o.substitute_const(v, c), a.substitute_const(v, c))
+        expr = LinExpr({}, c)
+        assert equal_state(o.substitute_linexpr(v, expr),
+                           a.substitute_linexpr(v, expr))
 
     @SET
     @given(st.integers(2, 4), st.data())

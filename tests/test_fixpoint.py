@@ -1,5 +1,7 @@
 """Fixpoint engine tests: convergence, widening, narrowing."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import FixpointEngine
@@ -115,6 +117,31 @@ class TestKnobs:
         pre = factory.from_box([(-INF, INF), (5.0, 6.0)])
         fix = FixpointEngine().analyze(cfg, factory, entry_state=pre)
         assert fix.at(cfg.exit).bounds(0) == (6.0, 7.0)
+
+
+class TestLoopTreeContract:
+    """The engine solves loops by the CFG's nesting tree, so a tree
+    that misses a loop head must be rejected: solved anyway, the
+    missing loop's back edge would count as bottom."""
+
+    NESTED = ("i = 0; while (i < 5) { j = 0; while (j < i) { j = j + 1; } "
+              "i = i + 1; }")
+
+    def _cfg(self):
+        return build_cfg(parse_program(self.NESTED).procedures[0])
+
+    def test_empty_tree_rejected(self):
+        cfg = dataclasses.replace(self._cfg(), loop_tree=[])
+        with pytest.raises(ValueError, match="loop tree heads"):
+            FixpointEngine().analyze(cfg, get_domain("octagon"))
+
+    def test_missing_nested_loop_rejected(self):
+        cfg = self._cfg()
+        (outer,) = cfg.loop_tree
+        pruned = dataclasses.replace(outer, subloops=[])
+        cfg = dataclasses.replace(cfg, loop_tree=[pruned])
+        with pytest.raises(ValueError, match="loop tree heads"):
+            FixpointEngine().analyze(cfg, get_domain("octagon"))
 
 
 class TestMemory:

@@ -1,5 +1,6 @@
 """Tests for the concrete interpreter."""
 
+import math
 import random
 
 import pytest
@@ -70,6 +71,24 @@ class TestControl:
     def test_step_budget(self):
         with pytest.raises(StepBudgetExceeded):
             run_source("x = 0; while (x >= 0) { x = x + 1; }", max_steps=100)
+
+
+class TestExactness:
+    def test_integers_exact_beyond_float_precision(self):
+        # In floats 2^64 + 1 == 2^64, so the branch would be skipped.
+        result = run_source("b = 4294967296; b = b * b; "
+                            "if (b < b + 1) { x = 1; } else { x = 0; }")
+        assert result.env["x"] == 1
+
+    def test_point_maps_values_beyond_float_range_to_inf(self):
+        result = run_source("x = 2; i = 0; while (i < 11) { x = x * x; "
+                            "i = i + 1; } y = -x;")
+        assert result.point(["x", "y", "i"]) == [math.inf, -math.inf, 11.0]
+
+    def test_value_budget(self):
+        # 2^(2^20) would take a megabit per value: the run is incomplete.
+        with pytest.raises(StepBudgetExceeded):
+            run_source("x = 2; i = 0; while (i < 20) { x = x * x; i = i + 1; }")
 
 
 class TestSampleRuns:

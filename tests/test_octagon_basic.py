@@ -7,6 +7,11 @@ from repro.core import INF, DbmKind, Octagon, OctConstraint, SwitchPolicy
 from repro.core.constraints import LinExpr
 
 
+def entails(o, cons):
+    """Does every point of ``o`` satisfy ``cons``?"""
+    return o.is_leq(o.meet_constraint(cons))
+
+
 class TestConstructors:
     def test_top(self):
         o = Octagon.top(4)
@@ -141,13 +146,28 @@ class TestQueries:
 
     def test_sat_constraint(self):
         o = Octagon.from_box([(0.0, 1.0)])
-        assert o.sat_constraint(OctConstraint.upper(0, 1.0))
-        assert o.sat_constraint(OctConstraint.upper(0, 5.0))
-        assert not o.sat_constraint(OctConstraint.upper(0, 0.5))
+        assert entails(o, OctConstraint.upper(0, 1.0))
+        assert entails(o, OctConstraint.upper(0, 5.0))
+        assert not entails(o, OctConstraint.upper(0, 0.5))
 
     def test_repr(self):
         assert "bottom" in repr(Octagon.bottom(1))
         assert "kind=top" in repr(Octagon.top(1))
+
+
+class TestPretty:
+    def test_pretty_top_bottom(self):
+        assert Octagon.top(2).pretty() == "true"
+        assert Octagon.bottom(2).pretty() == "false"
+
+    def test_pretty_with_names(self):
+        o = Octagon.from_constraints(2, [OctConstraint.diff(0, 1, 3.0)])
+        text = o.pretty(names=["x", "y"])
+        assert "+x -y <= 3" in text
+
+    def test_pretty_unary(self):
+        o = Octagon.from_constraints(1, [OctConstraint.upper(0, 2.0)])
+        assert "+v0 <= 2" in o.pretty()
 
 
 class TestDimensions:

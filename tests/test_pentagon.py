@@ -57,6 +57,14 @@ class TestBasics:
         p = p.assume_linear(LinExpr({1: 1.0, 0: -1.0}, 1.0))  # y < x
         assert p.is_bottom()
 
+    def test_infinite_coordinates_violate_no_relation(self):
+        # Two values beyond float range both read as inf: their order is
+        # lost, so x < y must not reject the point (as in Octagon).
+        p = Pentagon.top(2).assume_linear(LinExpr({0: 1.0, 1: -1.0}, 1.0))
+        assert p.contains_point([INF, INF])
+        assert not p.contains_point([INF, 3.0])
+        assert not p.contains_point([4.0, 3.0])
+
     def test_interval_contradiction(self):
         p = Pentagon.from_box([(3.0, 4.0)]).assume_linear(LinExpr({0: 1.0}, 0.0))
         assert p.is_bottom()

@@ -9,14 +9,12 @@ widening / narrowing counts -- on hand-written programs, on random
 (hypothesis) programs, and on the full 17-benchmark workload suite.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import Analyzer, FixpointEngine, necessary_precondition
+from repro.analysis import Analyzer, necessary_precondition
 from repro.analysis.plan import compile_action, compile_cfg, counters
 from repro.analysis.transfer import apply_action
 from repro.domains.domain import get_domain
@@ -133,14 +131,14 @@ class TestCompileAction:
         compiled = compile_cfg(cfg)
         assert compiled.n_plans > 0
         assert counters()["plans_compiled"] - before == compiled.n_plans
-        # Adjacency mirrors the CFG's own lists.
+        # Adjacency mirrors the CFG's own predecessor lists.
         for node, edges in cfg.predecessors.items():
-            assert [src for src, _ in compiled.predecessors[node]] == \
+            assert [src for src, _ in compiled.pairs[node]] == \
                 [e.src for e in edges]
 
 
 # ----------------------------------------------------------------------
-# engine-level determinism (structured + worklist solvers)
+# engine-level determinism (forward and backward engines)
 # ----------------------------------------------------------------------
 class TestEngineDeterminism:
     SOURCES = [
@@ -158,25 +156,6 @@ class TestEngineDeterminism:
     @pytest.mark.parametrize("source", SOURCES)
     def test_programs_identical(self, domain, source):
         _assert_identical(*_analyze_pair(source, domain))
-
-    @pytest.mark.parametrize("domain", ["octagon", "interval"])
-    def test_worklist_solver_identical(self, domain):
-        # Strip the loop tree so the engine takes the generic worklist
-        # path in both modes.
-        source = "x = 0; while (x < 9) { x = x + 1; if (x == 4) { x = x + 2; } }"
-        cfg = dataclasses.replace(_cfg_of(source), loop_tree=None)
-        factory = get_domain(domain)
-        kw = dict(widening_delay=2, narrowing_steps=3)
-        fix_on = FixpointEngine(compile_transfer=True, **kw).analyze(cfg, factory)
-        fix_off = FixpointEngine(compile_transfer=False, **kw).analyze(cfg, factory)
-        assert fix_on.iterations == fix_off.iterations
-        assert fix_on.widenings == fix_off.widenings
-        assert fix_on.narrowings == fix_off.narrowings
-        for node in fix_on.states:
-            sa, sb = fix_on.at(node), fix_off.at(node)
-            assert sa.is_bottom() == sb.is_bottom()
-            if hasattr(sa, "mat"):
-                assert np.array_equal(sa.mat, sb.mat)
 
     def test_widening_thresholds_still_apply(self):
         source = "x = 0; while (x < 37) { x = x + 1; }"

@@ -13,12 +13,12 @@ class TestSubstitution:
     def test_substitute_const(self):
         # post: x in [0, 5].  pre of x := 3 is top (3 lands inside).
         post = Octagon.from_box([(0.0, 5.0)])
-        pre = post.substitute_const(0, 3.0)
+        pre = post.substitute_linexpr(0, LinExpr({}, 3.0))
         assert pre.is_top()
 
     def test_substitute_const_unreachable(self):
         post = Octagon.from_box([(0.0, 5.0)])
-        pre = post.substitute_const(0, 9.0)
+        pre = post.substitute_linexpr(0, LinExpr({}, 9.0))
         assert pre.is_bottom()
 
     def test_substitute_translation(self):
@@ -30,7 +30,7 @@ class TestSubstitution:
     def test_substitute_other_var(self):
         # post: x in [0, 5], pre of x := y constrains y, frees x.
         post = Octagon.from_box([(0.0, 5.0), (-INF, INF)])
-        pre = post.substitute_var(0, 1)
+        pre = post.substitute_linexpr(0, LinExpr({1: 1.0}, 0.0))
         assert pre.bounds(1) == (0.0, 5.0)
         assert pre.bounds(0) == (-INF, INF)
 
@@ -38,12 +38,12 @@ class TestSubstitution:
         # post: x = z.  pre of x := y + 1 is y + 1 = z, i.e. z - y = 1.
         post = Octagon.from_constraints(3, [OctConstraint.diff(0, 2, 0.0),
                                             OctConstraint.diff(2, 0, 0.0)])
-        pre = post.substitute_var(0, 1, offset=1.0)
+        pre = post.substitute_linexpr(0, LinExpr({1: 1.0}, 1.0))
         lo, hi = pre.bound_linexpr(LinExpr({2: 1.0, 1: -1.0}))
         assert (lo, hi) == (1.0, 1.0)
 
     def test_substitute_on_bottom(self):
-        assert Octagon.bottom(2).substitute_const(0, 1.0).is_bottom()
+        assert Octagon.bottom(2).substitute_linexpr(0, LinExpr({}, 1.0)).is_bottom()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2), st.integers(-3, 3),
@@ -69,7 +69,7 @@ class TestSubstitution:
     def test_adjunction_with_assignment(self, v, w, coeff, off):
         """assign(pre) stays inside post when pre = substitute(post)."""
         post = Octagon.from_box([(-4.0, 4.0)] * 3)
-        pre = post.substitute_var(v, w, coeff=coeff, offset=float(off))
+        pre = post.substitute_linexpr(v, LinExpr({w: float(coeff)}, float(off)))
         if pre.is_bottom():
             return
         fwd = pre.assign_var(v, w, coeff=coeff, offset=float(off))
