@@ -204,14 +204,11 @@ class Analyzer:
                         continue
                 return fix, rung_name(rung), i > 0, False
             # Every rung exhausted its budget: fall back to the trivial
-            # sound answer -- top at every node.  The checks become
-            # unknown, never wrong.
-            factory = self._rung_factory(rungs[-1])
-            n = len(cfg.variables)
-            top = factory.top(n)
-            states = {node: top.copy() for node in range(cfg.n_nodes)}
-            fix = FixpointResult(
-                states, last_exc.iterations if last_exc else 0, 0, 0)
+            # sound answer -- top at every node, one state shared by
+            # all of them.  The checks become unknown, never wrong.
+            top = self._rung_factory(rungs[-1]).top(len(cfg.variables))
+            fix = FixpointResult(dict.fromkeys(range(cfg.n_nodes), top),
+                                 last_exc.iterations if last_exc else 0, 0, 0)
             return fix, rung_name(rungs[-1]), True, True
 
         def run() -> None:

@@ -62,13 +62,6 @@ def bhalf(a: float) -> float:
     return a / 2.0
 
 
-def bhalf_floor(a: float) -> float:
-    """Halve a bound rounding down; used by integer tightening."""
-    if a == INF:
-        return INF
-    return math.floor(a / 2.0)
-
-
 def bounds_equal(a: float, b: float, *, tol: float = 0.0) -> bool:
     """Compare two bounds, treating two infinities as equal.
 

@@ -11,7 +11,6 @@ from repro.core.bounds import (
     NEG_INF,
     badd,
     bhalf,
-    bhalf_floor,
     bmax,
     bmin,
     bounds_equal,
@@ -65,16 +64,10 @@ class TestMinMax:
 class TestHalving:
     def test_half_inf(self):
         assert bhalf(INF) == INF
-        assert bhalf_floor(INF) == INF
 
     @given(finite)
     def test_half_finite(self, a):
         assert bhalf(a) == a / 2.0
-
-    def test_half_floor_rounds_down(self):
-        assert bhalf_floor(5.0) == 2.0
-        assert bhalf_floor(-5.0) == -3.0
-        assert bhalf_floor(4.0) == 2.0
 
 
 class TestEquality:

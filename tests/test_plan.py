@@ -48,7 +48,7 @@ def _assert_identical(on, off):
         assert pa.fixpoint.iterations == pb.fixpoint.iterations
         assert pa.fixpoint.widenings == pb.fixpoint.widenings
         assert pa.fixpoint.narrowings == pb.fixpoint.narrowings
-        for node in pa.fixpoint.states:
+        for node in range(pa.cfg.n_nodes):
             sa, sb = pa.fixpoint.at(node), pb.fixpoint.at(node)
             assert sa.is_bottom() == sb.is_bottom()
             if hasattr(sa, "mat"):
