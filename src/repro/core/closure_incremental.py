@@ -43,6 +43,13 @@ from .strengthen import (
 from .workspace import get_workspace
 
 
+def swept_cells(dim: int) -> int:
+    """Cells one :func:`incremental_closure` sweeps on a ``dim x dim``
+    DBM: two min-plus line refreshes (``dim^2`` each), the pivot-pair
+    bulk sweep (two candidate matrices) and strengthening."""
+    return 5 * dim * dim
+
+
 def incremental_closure(
     m: np.ndarray, v: int, counter: Optional[OpCounter] = None
 ) -> bool:
@@ -109,9 +116,7 @@ def incremental_closure(
     # Phase 4: strengthening.
     strengthen_numpy(m)
     if counter is not None:
-        # Two min-plus line refreshes, the bulk sweep and strengthening:
-        # the paper's quadratic bound.
-        counter.tick(2 * dim * dim + 2 * dim * dim + dim * dim)
+        counter.tick(swept_cells(dim))  # the paper's quadratic bound
     if is_bottom_numpy(m):
         return True
     reset_diagonal_numpy(m)

@@ -53,6 +53,7 @@ from . import stats
 from .bounds import INF, is_finite
 from .cow import CowMat, is_enabled as _cow_enabled
 from .closure_decomposed import closure_decomposed
+from .closure_incremental import swept_cells
 from .constraints import LinExpr, OctConstraint, constraints_from_dbm, dbm_cells
 from .densemat import matrices_equal, new_top
 from .kernels import count_nni
@@ -333,7 +334,7 @@ class Octagon:
 
     def _incremental_close(self, v: int) -> None:
         """Quadratic re-closure after changes confined to variable ``v``."""
-        _budget.charge_cells(8 * self.n)  # two row/column pairs touched
+        _budget.charge_cells(swept_cells(2 * self.n))
         with stats.timed_op("closure_inc", n=self.n, kind="incremental",
                             components=len(self.partition.blocks), v=v):
             m = self._write_mat()
@@ -727,8 +728,9 @@ class Octagon:
         a copy of the closed DBM with their closed values; the other
         entries relate the remaining variables and stay closed.  The
         result equals forget, meet and incremental re-closure (section
-        5.6) bit for bit, in O(n) instead of O(n^2), with the same cell
-        charge and the same partition upkeep.
+        5.6) bit for bit, in O(n) instead of O(n^2), with the same
+        partition upkeep; it charges the 8n cells it writes, where the
+        re-closure would sweep ``swept_cells(2n)``.
         """
         closed = self.closure()
         if self._bottom:

@@ -86,3 +86,19 @@ def test_incremental_on_already_closed_is_identity():
     out = m.copy()
     assert not incremental_closure(out, 2)
     assert matrices_equal(m, out, tol=1e-9)
+
+
+def test_incremental_close_charges_swept_cells():
+    """A constraint meet on a closed octagon re-closes incrementally and
+    charges the cells the kernel sweeps: five passes over the 2n x 2n
+    matrix, 180 cells at n = 3."""
+    from repro.core import stats
+    from repro.core.closure_incremental import swept_cells
+    from repro.core.octagon import Octagon
+
+    state = Octagon.from_box([(0.0, 5.0), (1.0, 2.0), (-1.0, 1.0)]).closure()
+    assert state.closed
+    with stats.collecting() as col:
+        state.meet_constraint(OctConstraint.upper(0, 3.0))
+    assert col.closure_stats()["incremental"] == 1
+    assert col.counter_summary()["closure_cells"] == swept_cells(6) == 180
