@@ -111,6 +111,21 @@ class TestEngineIntegration:
         assert isinstance(exc.partial_states, dict)
         assert set(exc.partial_states) == set(range(cfg.n_nodes))
 
+    def test_partial_states_replay_each_missing_node_once(self):
+        # Every inner node of a straight line keeps no state; filling
+        # them into the partial map must cost one assignment each, not
+        # one walk back to the entry each.
+        length = 300
+        source = "".join(f"x = x + {i};\n" for i in range(length))
+        cfg = build_cfg(parse_program(source).procedures[0])
+        with stats.collecting() as collector:
+            with pytest.raises(AnalysisInterrupted) as exc_info:
+                FixpointEngine().analyze(
+                    cfg, get_domain("octagon"),
+                    budget=Budget(max_iterations=length - 10))
+        assert set(exc_info.value.partial_states) == set(range(cfg.n_nodes))
+        assert collector.op_calls["assign"] <= 2 * length
+
     def test_max_iterations_backstop_still_runtime_error(self):
         engine = FixpointEngine(max_iterations=2)
         with pytest.raises(RuntimeError):
