@@ -1,10 +1,12 @@
 """Shared configuration for the benchmark harness.
 
-Every benchmark measures a full workload once (``pedantic`` mode with a
-single round): the workloads are deterministic, seconds-long end-to-end
-analyses, not microkernels, so statistical repetition would multiply
-hours for no insight.  Scale is controlled by ``REPRO_BENCH_SCALE``
-(small | paper | large, default paper).
+Every paper reproduction measures a full workload once (``pedantic``
+mode with a single round): the workloads are deterministic,
+seconds-long end-to-end analyses, not microkernels.  The gates of
+``bench_gates.py`` are the exception: they compare two timings a few
+percent apart, so they repeat in interleaved pairs.  Scale is
+controlled by ``REPRO_BENCH_SCALE`` (small | paper | large, default
+paper).
 """
 
 import os

@@ -15,8 +15,8 @@ chains need no explicit threading.  Checkpoints are cheap -- an
 attribute bump plus one ``time.monotonic()`` call -- and when no
 budget is active the ambient hooks reduce to a single global ``None``
 test, so the un-governed hot path pays nothing measurable
-(``benchmarks/bench_degradation.py`` records the overhead; the gate
-is <2% on the 17-benchmark suite).
+(the ``checkpoint`` gate of ``benchmarks/bench_gates.py`` bounds the
+overhead at 2% on the 17-benchmark suite).
 
 Exhaustion raises :class:`repro.errors.BudgetExceeded`; the engines
 convert that into :class:`repro.errors.AnalysisInterrupted` carrying

@@ -18,8 +18,9 @@ callers (e.g. :meth:`Octagon.closure`) can keep derived caches valid
 across aliases and detect staleness without comparing matrices.
 
 The module-level switch :func:`set_enabled` (and the :func:`disabled`
-context manager) turns cloning back into eager copying; the hot-path
-benchmark uses it to measure the pre-COW baseline in-process.
+context manager) turns cloning back into eager copying; the
+``cow_workspace`` gate of ``benchmarks/bench_gates.py`` uses it to
+measure the pre-COW baseline in-process.
 """
 
 from __future__ import annotations

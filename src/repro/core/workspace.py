@@ -26,8 +26,9 @@ tables (``arange``, ``xor``, ``lower_mask``, packed indices) are
 read-only by convention.
 
 :func:`set_enabled`/:func:`disabled` switch the registry off (a fresh
-workspace per request), which restores the pre-PR allocation behaviour
-for baseline measurements.
+workspace per request), which restores the pre-optimisation allocation
+behaviour for the baseline side of the ``cow_workspace`` gate in
+``benchmarks/bench_gates.py``.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ Design constraints, in order:
    that would pay even for building the ``attrs`` dict (the fixpoint
    engine's per-edge transfer calls) check :func:`enabled` once at
    setup and install instrumented closures only when tracing is on.
-   ``benchmarks/bench_obs_overhead.py`` gates this at < 2% end to end.
+   The ``telemetry`` gate of ``benchmarks/bench_gates.py`` bounds this
+   at 2% end to end.
 2. **Cross-process.**  Batch jobs run in forked worker processes.  A
    worker opens a fresh :func:`session` around its job (so it never
    re-ships events inherited from the parent's buffer), returns its

@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import contextmanager, nullcontext
 
 import pytest
 
+from repro.core import cow, workspace
+from repro.obs import trace
 from repro.service import (
     AnalysisJob,
     ResultCache,
@@ -310,6 +313,12 @@ print(json.dumps([[sorted(r.counters)
 # ----------------------------------------------------------------------
 # determinism under parallelism + suite integration
 # ----------------------------------------------------------------------
+@contextmanager
+def _memory_layer_off():
+    with cow.disabled(), workspace.disabled():
+        yield
+
+
 class TestSuiteThroughService:
     def test_suite_jobs_cover_every_benchmark(self):
         jobs = suite_jobs("small")
@@ -317,14 +326,37 @@ class TestSuiteThroughService:
         assert len({j.key() for j in jobs}) == len(jobs)
 
     def test_parallel_and_inline_runs_identical(self):
-        """jobs=4 and jobs=1 agree on every verdict and every bound."""
+        """Every way of running the suite agrees with untraced jobs=1 on
+        every verdict and every bound: jobs=4, tracing on, interpreted
+        transfers, the hot-path memory layer off, and budgets that never
+        trip.  A run with a layer off reads zero on that layer's
+        counters, which the reference run shows non-zero."""
+        variants = {
+            "jobs=4": (nullcontext, {"workers": 4}, ()),
+            "traced": (trace.session, {}, ()),
+            "interpreted": (nullcontext, {"compile_transfer": False},
+                            ("plans_compiled", "plan_exec")),
+            "memory layer off": (_memory_layer_off, {},
+                                 ("copies_avoided", "workspace_hits")),
+            "generous budgets": (nullcontext, {
+                "time_budget": 3600.0, "iteration_budget": 10**9,
+                "cell_budget": 10**15}, ()),
+        }
         inline = run_suite("small", workers=1)
-        parallel = run_suite("small", workers=4)
-        assert inline.all_ok and parallel.all_ok
-        for seq, par in zip(inline.results, parallel.results):
-            assert seq.label == par.label
-            assert seq.verdicts() == par.verdicts()
-            assert seq.procedures == par.procedures
+        assert inline.all_ok
+        for name, (context, options, zero) in variants.items():
+            with context() as scope:
+                other = run_suite("small", **{"workers": 1, **options})
+            assert other.all_ok, name
+            if name == "traced":
+                assert scope.events, "tracing on recorded no spans"
+            for seq, par in zip(inline.results, other.results):
+                assert seq.label == par.label
+                assert seq.verdicts() == par.verdicts(), (name, seq.label)
+                assert seq.procedures == par.procedures, (name, seq.label)
+            for counter in zero:
+                assert inline.counters()[counter] > 0, (name, counter)
+                assert other.counters()[counter] == 0, (name, counter)
 
     def test_suite_matches_direct_analysis(self):
         from repro.analysis import Analyzer

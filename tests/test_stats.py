@@ -1,6 +1,7 @@
 """Tests for the instrumentation layer."""
 
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from repro.core.stats import (
     collecting,
     timed_op,
 )
-from repro.obs import trace
+from repro.obs import collect, trace
 
 
 class TestCollector:
@@ -98,12 +99,18 @@ class TestSelfTime:
     the measured total -- the decomposition did not decompose.
     """
 
-    def test_nested_op_not_double_counted(self):
+    def test_nested_op_not_double_counted(self, monkeypatch):
+        # A scripted clock: outer opens at 1 s, inner runs from 3 s to
+        # 7 s, outer closes at 8 s.
+        clock = iter([1.0, 3.0, 7.0, 8.0])
+        monkeypatch.setattr(collect, "time",
+                            SimpleNamespace(perf_counter=lambda: next(clock)))
         with collecting() as col:
             with timed_op("outer"):
-                time.sleep(0.002)
                 with timed_op("inner"):
-                    time.sleep(0.004)
+                    pass
+        assert col.op_seconds == {"outer": 7.0, "inner": 4.0}
+        assert col.op_self_seconds == {"outer": 3.0, "inner": 4.0}
         # Inclusive: outer covers inner.
         assert col.op_seconds["outer"] > col.op_seconds["inner"]
         # Exclusive: outer's self time does NOT include inner.
