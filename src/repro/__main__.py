@@ -387,7 +387,6 @@ def cmd_serve(args) -> int:
     server = AnalysisServer(args.socket,
                             port=args.port,
                             host=args.host,
-                            workers=args.workers,
                             pool=args.pool,
                             deadline_ms=args.deadline_ms or None,
                             queue_depth=args.queue_depth,
@@ -409,7 +408,7 @@ def cmd_serve(args) -> int:
     http = (f", http=http://{server.http_host}:{server.http_port}"
             if server.http_port is not None else "")
     print(f"repro serve: listening on {address} "
-          f"(workers={server.workers}, pool={server.pool}, "
+          f"(pool={server.pool}, admission={server.admission_limit}, "
           f"pid={_os.getpid()}{http})", flush=True)
     server.serve_forever()
     ctx = _run_context(args)
@@ -668,8 +667,6 @@ def main(argv=None) -> int:
         help="run the long-lived analysis server (incremental "
              "per-procedure re-analysis)")
     add_endpoint_flags(p)
-    p.add_argument("--workers", type=int, default=4,
-                   help="max concurrently executing requests (default 4)")
     p.add_argument("--pool", type=int, default=2,
                    help="supervised worker processes for the compute "
                         "tier; 0 = run fixpoints in the daemon process "
@@ -678,9 +675,9 @@ def main(argv=None) -> int:
                    help="server-default analyze deadline in milliseconds; "
                         "0 = none (clients can still send deadline_ms)")
     p.add_argument("--queue-depth", type=int, default=16,
-                   help="analyze requests allowed to queue beyond "
-                        "--workers before the server sheds load with an "
-                        "'overloaded' response (default 16)")
+                   help="analyze requests allowed in flight beyond "
+                        "max(1, --pool) before the server sheds load with "
+                        "an 'overloaded' response (default 16)")
     p.add_argument("--idle-timeout", type=float, default=300.0,
                    help="per-frame idle read timeout in seconds before a "
                         "stalled client is disconnected (default 300)")

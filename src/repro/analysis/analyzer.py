@@ -126,11 +126,6 @@ class Analyzer:
     #: propagating :class:`~repro.errors.AnalysisInterrupted`.
     degrade: bool = True
 
-    def _factory(self) -> DomainFactory:
-        if isinstance(self.domain, str):
-            return get_domain(self.domain)
-        return self.domain
-
     def _budgeted(self) -> bool:
         return (self.time_budget is not None
                 or self.iteration_budget is not None

@@ -13,10 +13,10 @@ recomputation; the octagon closure kernels charge their matrix area
 through the *ambient* budget (:func:`charge_cells`) so deep call
 chains need no explicit threading.  Checkpoints are cheap -- an
 attribute bump plus one ``time.monotonic()`` call -- and when no
-budget is active the ambient hooks reduce to a single global ``None``
-test, so the un-governed hot path pays nothing measurable
-(the ``checkpoint`` gate of ``benchmarks/bench_gates.py`` bounds the
-overhead at 2% on the 17-benchmark suite).
+budget is active the ambient hooks reduce to one thread-local read
+and a ``None`` test, so the un-governed hot path pays nothing
+measurable (the ``checkpoint`` gate of ``benchmarks/bench_gates.py``
+bounds the overhead at 2% on the 17-benchmark suite).
 
 Exhaustion raises :class:`repro.errors.BudgetExceeded`; the engines
 convert that into :class:`repro.errors.AnalysisInterrupted` carrying
@@ -26,7 +26,7 @@ reacts by retrying the procedure in a cheaper domain.
 
 from __future__ import annotations
 
-import os
+import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
@@ -142,11 +142,18 @@ def clamp_to_deadline(time_budget: Optional[float],
 # ambient budget: lets closure kernels checkpoint without threading a
 # Budget object through every domain operation
 # ----------------------------------------------------------------------
-_ACTIVE: Optional[Budget] = None
+class _Ambient(threading.local):
+    # Per thread: the daemon analyzes concurrent requests on handler
+    # threads, and one request's closures must not charge another's
+    # budget.  The class attribute is every thread's starting value.
+    budget: Optional[Budget] = None
+
+
+_AMBIENT = _Ambient()
 
 
 def active_budget() -> Optional[Budget]:
-    return _ACTIVE
+    return _AMBIENT.budget
 
 
 @contextmanager
@@ -156,31 +163,20 @@ def governed(budget: Optional[Budget]) -> Iterator[Optional[Budget]]:
     ``governed(None)`` is a no-op scope, so engines can wrap their
     solve loop unconditionally.
     """
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = budget
+    previous = _AMBIENT.budget
+    _AMBIENT.budget = budget
     try:
         yield budget
     finally:
-        _ACTIVE = previous
-
-
-def _forget_in_child() -> None:
-    # A pool worker forked while another thread of its parent analyzed
-    # under a budget must not inherit that budget: the thread that owns
-    # it does not exist in the child.
-    global _ACTIVE
-    _ACTIVE = None
-
-
-os.register_at_fork(after_in_child=_forget_in_child)
+        _AMBIENT.budget = previous
 
 
 def charge_cells(amount: int) -> None:
     """Charge closure-kernel traffic to the ambient budget, if any, and
     count it in the ``closure_cells`` counter."""
-    if _ACTIVE is not None:
-        _ACTIVE.charge_cells(amount)
+    budget = _AMBIENT.budget
+    if budget is not None:
+        budget.charge_cells(amount)
     stats.bump("closure_cells", amount)
 
 

@@ -10,19 +10,12 @@ can be updated with its two candidate mins in any order -- enabling
 vectorisation -- for a total of ``8n^3 + O(n^2)`` operations, half of
 Algorithm 2.
 
-Three implementations:
+Two implementations:
 
 * :func:`closure_dense_scalar` -- pure-Python transcription of
   Algorithm 3 on the half representation, instrumented so tests can
   verify the operation-count halving against
   :func:`dense_closure_op_count`.
-* :func:`closure_dense_packed` -- Algorithm 3 vectorised on a *packed*
-  flat copy of the half DBM (2n^2 + 2n doubles): the paper's buffered
-  pivot rows/columns become NumPy gathers (``flat[IDX[p]]``) and the
-  bulk update touches half the elements of a full-matrix sweep.  It
-  demonstrates the halved candidate count on vectorised kernels, but
-  NumPy's element-wise kernels are memory-bound and the gather/scatter
-  cost eats the arithmetic savings wall-clock-wise.
 * :func:`closure_dense_numpy` -- the production closure: the fastest
   vectorised formulation in NumPy (paired-pivot full-coherent sweep
   with a preallocated scratch buffer); see its docstring and
@@ -31,7 +24,7 @@ Three implementations:
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -39,7 +32,7 @@ from . import workspace as _workspace
 from .halfmat import HalfMat
 from .indexing import cap, matpos2
 from .stats import OpCounter
-from .workspace import PackedIndex as _PackedIndex, get_workspace
+from .workspace import get_workspace
 from .strengthen import (
     is_bottom_half,
     is_bottom_numpy,
@@ -143,118 +136,10 @@ def closure_dense_scalar(m: HalfMat, counter: Optional[OpCounter] = None) -> boo
     return False
 
 
-# ----------------------------------------------------------------------
-# packed-half index tables (shared per-dimension workspaces)
-# ----------------------------------------------------------------------
-# The table class itself lives in :mod:`repro.core.workspace`
-# (:class:`PackedIndex`); ``_PackedIndex`` stays as a module alias for
-# API familiarity.  A legacy module-local cache backs the tables when
-# the workspace registry is switched off, because the pre-workspace
-# code cached them too -- baseline measurements with
-# ``workspace.disabled()`` must not be slower than the code they model.
-_INDEX_CACHE: Dict[int, _PackedIndex] = {}
-
-
-def packed_index(n: int) -> _PackedIndex:
-    if _workspace.is_enabled():
-        return get_workspace(2 * n).packed
-    cache = _INDEX_CACHE.get(n)
-    if cache is None:
-        cache = _PackedIndex(n)
-        _INDEX_CACHE[n] = cache
-    return cache
-
-
-def pack(full: np.ndarray) -> Tuple[np.ndarray, _PackedIndex]:
-    """Extract the packed half representation from a full coherent DBM."""
-    n = full.shape[0] // 2
-    px = packed_index(n)
-    flat = full[px.rows, px.cols].astype(np.float64, copy=True)
-    return flat, px
-
-
-def unpack(flat: np.ndarray, px: _PackedIndex, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Expand a packed half DBM back to the full coherent matrix."""
-    full = flat[px.idx]
-    if out is not None:
-        out[...] = full
-        return out
-    return full
-
-
-# ----------------------------------------------------------------------
-# vectorised variant (the production dense closure)
-# ----------------------------------------------------------------------
-def shortest_path_dense_packed(
-    flat: np.ndarray, px: _PackedIndex, counter: Optional[OpCounter] = None
-) -> None:
-    """Algorithm 3's shortest-path step on the packed half DBM."""
-    n = px.n
-    dim = 2 * n
-    xor = get_workspace(dim).xor
-    ticks = 0
-    for k in range(n):
-        p0, p1 = 2 * k, 2 * k + 1
-        # Buffer the two virtual pivot rows (contiguous scratch arrays;
-        # their mirrors are the pivot columns, so this covers all four
-        # pivot lines of the paper's first phase).
-        row1 = flat[px.idx[p1]]
-        row0 = flat[px.idx[p0]]
-        # pivot p0 on row p1, then pivot p1 on row p0 (uses updated row1)
-        np.minimum(row1, row1[p0] + row0, out=row1)
-        np.minimum(row0, row0[p1] + row1, out=row0)
-        flat[px.idx[p1]] = row1
-        flat[px.idx[p0]] = row0
-        # Bulk: O[i,j] = min(O[i,j], O[i,p0]+O[p0,j], O[i,p1]+O[p1,j]).
-        # Columns p0/p1 are coherent mirrors of rows p1/p0:
-        #   O[i,p0] == O[p1, i^1],   O[i,p1] == O[p0, i^1].
-        col0 = row1[xor]
-        col1 = row0[xor]
-        cand = col0[px.rows] + row0[px.cols]
-        np.minimum(cand, col1[px.rows] + row1[px.cols], out=cand)
-        np.minimum(flat, cand, out=flat)
-        ticks += 2 * flat.size + row0.size + row1.size
-    if counter is not None:
-        counter.tick(ticks)
-
-
-def closure_dense_packed(
-    flat: np.ndarray, px: _PackedIndex, counter: Optional[OpCounter] = None
-) -> bool:
-    """Algorithm 3 on the packed half DBM, vectorised. True iff bottom."""
-    shortest_path_dense_packed(flat, px, counter)
-    # Strengthening on the packed half with the buffered unary diagonal.
-    d = flat[px.unary]
-    cand = (d[px.rows] + d[px.cols_bar]) * 0.5
-    np.minimum(flat, cand, out=flat)
-    if counter is not None:
-        counter.tick(flat.size)
-    if bool((flat[px.diag] < 0.0).any()):
-        return True
-    flat[px.diag] = 0.0
-    return False
-
-
-def closure_dense_packed_roundtrip(m: np.ndarray,
-                                   counter: Optional[OpCounter] = None) -> bool:
-    """Algorithm 3 on the packed half representation of a full DBM.
-
-    Performs exactly half the candidate evaluations of a full-matrix
-    Floyd-Warshall sweep (demonstrable through ``counter``); in NumPy
-    the gather/scatter cost of the packed layout eats that advantage
-    wall-clock-wise, so :func:`closure_dense_numpy` below is the
-    production kernel and this one backs the op-count experiments.
-    """
-    flat, px = pack(m)
-    empty = closure_dense_packed(flat, px, counter)
-    if empty:
-        return True
-    unpack(flat, px, out=m)
-    return False
-
-
-# Legacy scratch cache, used only when the workspace registry is off
-# (see the note above ``packed_index``).
+# Legacy scratch cache, used only when the workspace registry is off:
+# the pre-workspace code cached its scratch buffers too, so baseline
+# measurements with ``workspace.disabled()`` must not be slower than
+# the code they model.
 _SCRATCH: Dict[int, np.ndarray] = {}
 
 
@@ -278,8 +163,8 @@ def closure_dense_numpy(m: np.ndarray, counter: Optional[OpCounter] = None) -> b
 
     A note on the paper's operation-count halving: Algorithm 3 performs
     half the candidate evaluations of this sweep (see
-    :func:`closure_dense_scalar` / :func:`closure_dense_packed`, whose
-    instrumented counts verify the claim exactly).  The paper's AVX
+    :func:`closure_dense_scalar`, whose instrumented count verifies the
+    claim exactly).  The paper's AVX
     kernels are compute-bound, so halving operations halves time; NumPy
     element-wise kernels are *memory-bound* and the packed half-matrix
     layout pays more in gather/scatter than it saves in arithmetic, so

@@ -172,14 +172,6 @@ class Partition:
         """Variables that belong to some component."""
         return set(self._var2block)
 
-    def block_of(self, v: int) -> Optional[List[int]]:
-        idx = self._var2block.get(v)
-        return None if idx is None else self.blocks[idx]
-
-    def same_block(self, v: int, w: int) -> bool:
-        iv = self._var2block.get(v)
-        return iv is not None and iv == self._var2block.get(w)
-
     def is_empty(self) -> bool:
         return not self.blocks
 

@@ -139,8 +139,7 @@ def analysis_report(result) -> Dict:
 #: split for every execution mode (``trace_events`` is deliberately
 #: *not* serialised: spans ship over the worker pipe only).  v5 added
 #: ``kernel_backend`` (the concrete kernel backend the worker computed
-#: with -- a cache-key component, so the document must record it);
-#: ``dbms`` stays wire-only, like ``trace_events``.
+#: with -- a cache-key component, so the document must record it).
 #: v6: job options (and therefore cache keys) gained the switching
 #: threshold of a second, graph-based octagon backend.  v7 removed that
 #: backend and the kernel backend choice: ``kernel_backend`` left the

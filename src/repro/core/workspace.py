@@ -2,11 +2,10 @@
 
 Every closure call used to rebuild the same auxiliary arrays from
 scratch: ``np.arange(dim)`` index vectors, the ``i ^ 1`` coherence
-permutation, a ``dim x dim`` scratch matrix for the min-plus updates,
-boolean masks for the sparsity counts, and the packed-index tables of
-the half representation.  In a fixpoint loop the analyzer closes
-matrices of the *same* dimension thousands of times (Table 2), so all
-of that allocation is pure constant-factor waste.
+permutation, a ``dim x dim`` scratch matrix for the min-plus updates
+and boolean masks for the sparsity counts.  In a fixpoint loop the
+analyzer closes matrices of the *same* dimension thousands of times
+(Table 2), so all of that allocation is pure constant-factor waste.
 
 :class:`Workspace` bundles those buffers for one dimension; the
 module-level registry hands out one workspace per ``dim`` and the
@@ -22,8 +21,8 @@ analysis server (``repro/serve``) runs fixpoints on concurrent
 threads, and a shared scratch matrix raced between two closures of the
 same dimension corrupts both.  Each thread pays its own one-time
 allocation per dimension and then reuses its buffers freely.  Constant
-tables (``arange``, ``xor``, ``lower_mask``, packed indices) are
-read-only by convention.
+tables (``arange``, ``xor``, ``lower_mask``) are read-only by
+convention.
 
 :func:`set_enabled`/:func:`disabled` switch the registry off (a fresh
 workspace per request), which restores the pre-optimisation allocation
@@ -41,7 +40,6 @@ import numpy as np
 
 from ..obs import metrics
 from . import stats
-from .indexing import cap, half_size, matpos2
 
 _ENABLED = True
 
@@ -82,50 +80,11 @@ def disabled() -> Iterator[None]:
         set_enabled(previous)
 
 
-class PackedIndex:
-    """Precomputed gather/scatter indices of the packed half DBM.
-
-    * ``idx[i, j]`` -- packed offset of ``O[i, j]`` for any coordinate
-      (``matpos2`` as a 2n x 2n table), used to materialise "virtual"
-      full rows, the paper's contiguous scratch buffers.
-    * ``rows``/``cols`` -- for every packed slot, its (lower-triangle)
-      row and column coordinate; drive the bulk update gathers.
-    * ``cols_bar`` -- ``cols ^ 1``, for strengthening.
-    * ``diag``/``unary`` -- packed offsets of ``O[i, i]`` and
-      ``O[i, i^1]``.
-    """
-
-    __slots__ = ("n", "idx", "rows", "cols", "cols_bar", "diag", "unary")
-
-    def __init__(self, n: int):
-        self.n = n
-        dim = 2 * n
-        idx = np.empty((dim, dim), dtype=np.int64)
-        for i in range(dim):
-            for j in range(dim):
-                idx[i, j] = matpos2(i, j)
-        self.idx = idx
-        size = half_size(n)
-        rows = np.empty(size, dtype=np.int64)
-        cols = np.empty(size, dtype=np.int64)
-        for i in range(dim):
-            base = (i + 1) * (i + 1) // 2
-            for j in range(cap(i) + 1):
-                rows[base + j] = i
-                cols[base + j] = j
-        self.rows = rows
-        self.cols = cols
-        self.cols_bar = cols ^ 1
-        ar = np.arange(dim)
-        self.diag = idx[ar, ar].copy()
-        self.unary = idx[ar, ar ^ 1].copy()
-
-
 class Workspace:
     """Scratch buffers and constant index tables for one dimension."""
 
     __slots__ = ("dim", "arange", "xor", "_scratch", "_scratch2",
-                 "_bool_scratch", "_lower_mask", "_vecs", "_packed")
+                 "_bool_scratch", "_lower_mask", "_vecs")
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -136,7 +95,6 @@ class Workspace:
         self._bool_scratch: Optional[np.ndarray] = None
         self._lower_mask: Optional[np.ndarray] = None
         self._vecs: Dict[str, np.ndarray] = {}
-        self._packed: Optional[PackedIndex] = None
 
     # -- scratch matrices (contents unspecified between calls) ----------
     @property
@@ -177,15 +135,6 @@ class Workspace:
             j = self.arange[None, :]
             self._lower_mask = j <= (i | 1)
         return self._lower_mask
-
-    @property
-    def packed(self) -> PackedIndex:
-        """Packed half-DBM index tables (octagon dims only: ``dim = 2n``)."""
-        if self._packed is None:
-            if self.dim % 2:
-                raise ValueError("packed indices need an even dimension")
-            self._packed = PackedIndex(self.dim // 2)
-        return self._packed
 
 
 _LOCAL = threading.local()

@@ -51,7 +51,7 @@ def render_status(doc: dict) -> str:
                   if pool else "pool=inline")
     lines.append(
         f"inflight={doc.get('inflight', 0)}/"
-        f"{doc.get('workers', 0)}+{doc.get('queue_depth', 0)}  "
+        f"{doc.get('admission_limit', 0)}  "
         f"{pool_state}  "
         f"requests={doc.get('requests', 0)}  "
         f"lru={doc.get('lru_entries', 0)} entries "

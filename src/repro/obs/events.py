@@ -102,10 +102,6 @@ def close() -> None:
         _JSON_FH = None
 
 
-def log_json_path_active() -> bool:
-    return _JSON_FH is not None
-
-
 def emit(level: int, name: str, **fields) -> Event:
     """Record one event and dispatch it to every sink."""
     event = Event(level, name, fields, ts=time.time())

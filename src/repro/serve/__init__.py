@@ -26,7 +26,7 @@ for procedures that actually changed.
 from .client import ServeClient, ServeError, wait_ready
 from .incremental import IncrementalAnalyzer
 from .protocol import MAX_MESSAGE, ProtocolError, recv_message, send_message
-from .server import AnalysisServer, default_socket_path, run_server
+from .server import AnalysisServer, default_socket_path
 from .supervisor import WorkerSupervisor
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "WorkerSupervisor",
     "default_socket_path",
     "recv_message",
-    "run_server",
     "send_message",
     "wait_ready",
 ]

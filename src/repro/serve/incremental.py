@@ -24,8 +24,9 @@ Cache tiers, checked in order per procedure:
    the procedure, no CFG, no plan compile, no fixpoint.
 2. **disk** -- the PR 2 persistent :class:`ResultCache` (same keys:
    a per-procedure job is just a job).  Hits are promoted to memory.
-3. **computed** -- :func:`execute_job` in-process; ``ok`` results are
-   written through to both tiers.
+3. **computed** -- the analyzer's executor: :func:`execute_inline`
+   in-process, or the supervised pool's; ``ok`` results are written
+   through to both tiers.
 
 Invalidation is purely content-addressed: an edited procedure renders
 to different canonical source, gets a different key, and simply never
@@ -64,8 +65,7 @@ metrics.REGISTRY.counter("serve_ast_hits",
                          "Server submissions parsed from the AST LRU")
 
 #: Analyzer options a client may set per request.  ``label`` and
-#: ``telemetry`` are handled separately; ``keep_invariants`` is
-#: excluded because DBM payloads do not fit the JSON response schema.
+#: ``telemetry`` are handled separately.
 REQUEST_OPTIONS = (
     "domain", "widening_delay", "narrowing_steps", "widening_thresholds",
     "integer_mode", "compile_transfer", "time_budget", "iteration_budget",
@@ -112,8 +112,9 @@ class _LRU:
 
     def put(self, key: str, value) -> None:
         if self._weigh is not None:
-            self.bytes += int(self._weigh(value)) - self._weights.get(key, 0)
-            self._weights[key] = int(self._weigh(value))
+            weight = int(self._weigh(value))
+            self.bytes += weight - self._weights.get(key, 0)
+            self._weights[key] = weight
         self._data[key] = value
         self._data.move_to_end(key)
         while len(self._data) > self.capacity:
@@ -122,6 +123,20 @@ class _LRU:
 
     def __len__(self) -> int:
         return len(self._data)
+
+
+def execute_inline(job: AnalysisJob, deadline: Optional[float] = None,
+                   ) -> Tuple[JobResult, bool]:
+    """The in-process compute strategy: ``(result, False)``.
+
+    ``deadline`` (an absolute :func:`time.monotonic` instant) clamps the
+    job's time budget, so the degradation ladder answers by then.
+    """
+    if deadline is not None:
+        job = dataclasses.replace(
+            job, time_budget=clamp_to_deadline(job.time_budget, deadline))
+    with trace.span("compute", procedure=job.label):
+        return execute_job(job), False
 
 
 def normalize_options(options: Optional[dict]) -> dict:
@@ -152,16 +167,15 @@ class IncrementalAnalyzer:
 
     def __init__(self, cache: Optional[ResultCache] = None, *,
                  lru_procedures: int = 1024, lru_programs: int = 64,
-                 executor: Optional[Callable[
+                 executor: Callable[
                      [AnalysisJob, Optional[float]],
-                     Tuple[JobResult, bool]]] = None) -> None:
+                     Tuple[JobResult, bool]] = execute_inline) -> None:
         #: Compute-tier strategy: ``executor(job, deadline)`` returns
         #: ``(result, external)`` where ``external`` marks a result
         #: computed out-of-process (its counters are not in this
-        #: thread's stats collector).  ``None`` runs
-        #: :func:`execute_job` inline -- PR 7 behavior; the serve
-        #: supervisor's :meth:`~repro.serve.supervisor.WorkerSupervisor
-        #: .execute` is the pooled strategy.
+        #: thread's stats collector).  The serve supervisor's
+        #: :meth:`~repro.serve.supervisor.WorkerSupervisor.execute` is
+        #: the pooled strategy.
         self.executor = executor
         self.cache = cache
         self._results = _LRU(lru_procedures, weigh=_result_weight)
@@ -217,16 +231,7 @@ class IncrementalAnalyzer:
         result, tier = self._lookup(key)
         if result is not None:
             return result, tier, False
-        if self.executor is not None:
-            result, external = self.executor(job, deadline)
-        else:
-            if deadline is not None:
-                job = dataclasses.replace(
-                    job, time_budget=clamp_to_deadline(job.time_budget,
-                                                       deadline))
-            with trace.span("compute", procedure=job.label):
-                result = execute_job(job)
-            external = False
+        result, external = self.executor(job, deadline)
         # Fresh computations carry their span batch on the result --
         # collected by execute_job's trace session, in a pool worker or
         # right here -- and it is adopted exactly once, at the moment
@@ -352,5 +357,6 @@ __all__ = [
     "IncrementalAnalyzer",
     "REQUEST_OPTIONS",
     "TIERS",
+    "execute_inline",
     "normalize_options",
 ]

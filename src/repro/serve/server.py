@@ -7,16 +7,15 @@ operable: request/latency/cache-tier counters, cause-labeled error
 counters, per-request spans, and a Prometheus rendering of the lot.
 
 Concurrency model: thread-per-connection (connections are long-lived
-and mostly idle between frames) with a :class:`threading.Semaphore`
-bounding how many *analyze* requests execute simultaneously and a
-bounded admission count on top: once ``workers + queue_depth`` analyze
-requests are in flight, further ones are shed immediately with a
-structured ``overloaded`` response carrying ``retry_after_ms`` --
-backpressure, not deadlock.  Control commands (``ping``/``status``/
-``stats``/``metrics``) bypass the gate so the daemon stays observable
-under load.  Each connection has a per-frame idle read timeout, so a
-client that sends half a frame and stalls is disconnected instead of
-pinning a handler slot forever.
+and mostly idle between frames) with one bounded admission count: once
+``max(1, pool) + queue_depth`` analyze requests are in flight, further
+ones are shed immediately with a structured ``overloaded`` response
+carrying ``retry_after_ms`` -- backpressure, not deadlock.  The pool
+bounds how many procedures compute out of process at once.  Control
+commands (``ping``/``status``/``stats``/``metrics``) bypass the gate
+so the daemon stays observable under load.  Each connection has a
+per-frame idle read timeout, so a client that sends half a frame and
+stalls is disconnected instead of pinning a handler slot forever.
 
 With ``pool > 0`` the compute tier runs on a supervised pool of worker
 processes (:mod:`repro.serve.supervisor`): crashes and wedges cost a
@@ -52,7 +51,7 @@ from ..obs import events, metrics, trace
 from ..service.cache import ResultCache, default_cache_root
 from ..testing import faults
 from .httpd import ObservabilityHTTPD
-from .incremental import IncrementalAnalyzer
+from .incremental import IncrementalAnalyzer, execute_inline
 from .protocol import (
     ERROR_CAUSES, PROTOCOL_VERSION, ProtocolError, error_response,
     recv_message, send_message,
@@ -115,7 +114,7 @@ class AnalysisServer:
 
     def __init__(self, socket_path: Optional[str] = None, *,
                  host: str = "127.0.0.1", port: Optional[int] = None,
-                 workers: int = 4, pool: int = 0,
+                 pool: int = 0,
                  deadline_ms: Optional[float] = None,
                  queue_depth: int = 16,
                  idle_timeout: Optional[float] = DEFAULT_IDLE_TIMEOUT,
@@ -135,23 +134,24 @@ class AnalysisServer:
         if cache is None and use_cache:
             cache = ResultCache(cache_dir)
         self.cache = cache
-        #: Supervised compute pool; ``pool=0`` keeps PR 7 inline
-        #: execution (every fixpoint on the handler thread).
+        #: Supervised compute pool; ``pool=0`` runs every fixpoint on
+        #: the handler thread.
         self.pool = max(0, int(pool))
         self.supervisor = (WorkerSupervisor(
             self.pool, breaker_threshold=worker_restarts)
             if self.pool else None)
         self.analyzer = IncrementalAnalyzer(
             cache, lru_procedures=lru_procedures, lru_programs=lru_programs,
-            executor=(self.supervisor.execute if self.supervisor else None))
-        self.workers = max(1, int(workers))
+            executor=(self.supervisor.execute if self.supervisor
+                      else execute_inline))
         #: Server-default request deadline in milliseconds (None/0 =
         #: unbounded unless the client supplies ``deadline_ms``).
         self.deadline_ms = deadline_ms or None
         self.queue_depth = max(0, int(queue_depth))
+        #: Analyze requests in flight before the next one is shed.
+        self.admission_limit = max(1, self.pool) + self.queue_depth
         self.idle_timeout = idle_timeout or None
         self.drain_timeout = drain_timeout
-        self._request_gate = threading.Semaphore(self.workers)
         self._admission = threading.Condition()
         self._inflight = 0
         self._listener: Optional[socket.socket] = None
@@ -219,7 +219,7 @@ class AnalysisServer:
                                              port=self.http_port)
             self.http_port = self._httpd.start()
         events.info("serve_listening", address=address,
-                    workers=self.workers, pool=self.pool,
+                    admission_limit=self.admission_limit, pool=self.pool,
                     http_port=self.http_port)
         return address
 
@@ -348,7 +348,7 @@ class AnalysisServer:
     def _admit(self) -> bool:
         """Claim one in-flight analyze slot; False = shed the request."""
         with self._admission:
-            if self._inflight >= self.workers + self.queue_depth:
+            if self._inflight >= self.admission_limit:
                 return False
             self._inflight += 1
             return True
@@ -394,15 +394,12 @@ class AnalysisServer:
                                       cause="overloaded")
                         response = error_response(
                             "server overloaded: "
-                            f"{self.workers + self.queue_depth} analyze "
+                            f"{self.admission_limit} analyze "
                             "requests already in flight",
                             code="overloaded",
                             retry_after_ms=self._retry_after_ms())
                         events.warning("serve_overloaded",
                                        retry_after_ms=response["retry_after_ms"])
-                    elif admitted:
-                        with self._request_gate:
-                            response = self._dispatch(request)
                     else:
                         response = self._dispatch(request)
                     if faults.fire_once("serve_conn_reset"):
@@ -595,9 +592,9 @@ class AnalysisServer:
             "version": __version__,
             "protocol": PROTOCOL_VERSION,
             "address": address,
-            "workers": self.workers,
             "pool": self.pool,
             "queue_depth": self.queue_depth,
+            "admission_limit": self.admission_limit,
             "deadline_ms": self.deadline_ms,
             "idle_timeout": self.idle_timeout,
             "inflight": inflight,
@@ -729,15 +726,4 @@ class AnalysisServer:
         return {"ok": True, "stopping": True, "pid": os.getpid()}
 
 
-def run_server(args_socket: Optional[str] = None, **kwargs) -> None:
-    """Convenience wrapper: build, arm signals, announce, serve."""
-    server = AnalysisServer(args_socket, **kwargs)
-    server.install_signal_handlers()
-    address = server.start()
-    print(f"repro serve: listening on {address} "
-          f"(workers={server.workers}, pool={server.pool}, "
-          f"pid={os.getpid()})", flush=True)
-    server.serve_forever()
-
-
-__all__ = ["AnalysisServer", "COMMANDS", "default_socket_path", "run_server"]
+__all__ = ["AnalysisServer", "COMMANDS", "default_socket_path"]

@@ -34,17 +34,16 @@ are not in the calling thread's collector).
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from concurrent.futures import wait
 from typing import Dict, List, Optional, Tuple
 
-from ..core.budget import clamp_to_deadline
 from ..obs import events, metrics, trace
-from ..service.job import AnalysisJob, JobResult, execute_job
+from ..service.job import AnalysisJob, JobResult
 from ..service.pool import (BUSY, DEAD, PoolFallback, PoolJob, WorkerPool,
                             WorkerSlot)
 from ..testing import faults
+from .incremental import execute_inline
 
 metrics.REGISTRY.counter("worker_restarts",
                          "Serve pool workers respawned after a failure")
@@ -94,26 +93,23 @@ class WorkerSupervisor(WorkerPool):
         """
         if (not self._started or self._stopping.is_set()
                 or self._breaker_is_open()):
-            return self._inline(job, deadline), False
+            return self._inline(job, deadline)
         pool_job = self.submit(job, deadline)
         while not wait([pool_job], timeout=0.5).done:
             if not self.loop_alive():
                 # The supervision loop itself died: never strand the
                 # request -- compute it here.
-                return self._inline(job, deadline), False
+                return self._inline(job, deadline)
         try:
             return pool_job.result(), True
         except PoolFallback:
-            return self._inline(job, deadline), False
+            return self._inline(job, deadline)
 
     def _inline(self, job: AnalysisJob,
-                deadline: Optional[float]) -> JobResult:
+                deadline: Optional[float]) -> Tuple[JobResult, bool]:
         with self._lock:
             self.counters["serve_pool_inline"] += 1
-        if deadline is not None:
-            job = dataclasses.replace(
-                job, time_budget=clamp_to_deadline(job.time_budget, deadline))
-        return execute_job(job)
+        return execute_inline(job, deadline)
 
     # -- breaker -------------------------------------------------------
     def _breaker_is_open(self) -> bool:

@@ -64,9 +64,6 @@ class AnalysisJob:
     time_budget: Optional[float] = None
     iteration_budget: Optional[int] = None
     cell_budget: Optional[int] = None
-    #: Ship per-procedure exit DBMs back with the result.  Included in
-    #: the cache key: it changes what the result contains.
-    keep_invariants: bool = False
     #: Telemetry requested for this job's execution: any of ``"trace"``
     #: (record spans and ship them back with the result) and
     #: ``"metrics"`` (collect histogram distributions).  Observation
@@ -104,12 +101,9 @@ class AnalysisJob:
         result was computed.  The budgets are included too -- a tightly
         budgeted run can legitimately produce different (degraded)
         verdicts than an unbounded one, so they must not share a key.
-        ``keep_invariants`` changes the result's *content* (it adds the
-        exit DBMs), so it is a key component in the ordinary sense.
         """
         return {
             "domain": self.domain,
-            "keep_invariants": bool(self.keep_invariants),
             "widening_delay": int(self.widening_delay),
             "narrowing_steps": int(self.narrowing_steps),
             "widening_thresholds": [float(t) for t in self.widening_thresholds],
@@ -191,11 +185,6 @@ class JobResult:
     #: value below ``domain`` marks a ladder descent, ``"<top>"`` a
     #: full fall-through to synthesized top states.
     rungs: Dict[str, str] = field(default_factory=dict)
-    #: Per-procedure exit DBMs (coherent ``float64`` matrices), present
-    #: when the job ran with ``keep_invariants``.  Excluded from
-    #: equality and from the JSON schema: array payloads ride the
-    #: worker pipe but are not part of the portable result document.
-    dbms: Dict[str, object] = field(default_factory=dict, compare=False)
     cached: bool = field(default=False, compare=False)
     #: Served from a batch journal during ``--resume`` (like ``cached``,
     #: excluded from equality).
@@ -277,19 +266,12 @@ def execute_job(job: AnalysisJob) -> JobResult:
     checks = [CheckVerdict(c.procedure, c.cond_text, c.verified)
               for c in result.checks]
     procedures: List[ProcedureSummary] = []
-    dbms: Dict[str, object] = {}
     for proc in result.procedures:
         state = proc.invariant_at_exit()
         reachable = not state.is_bottom()
         box: List[List[Optional[float]]] = []
         if reachable:
             box = [[_bound(lo), _bound(hi)] for lo, hi in state.to_box()]
-            if job.keep_invariants:
-                mat = getattr(state, "mat", None)
-                if mat is not None:
-                    # A private contiguous copy: the state's matrix may be
-                    # a COW-shared page the analyzer still owns.
-                    dbms[proc.name] = mat.copy()
         procedures.append(ProcedureSummary(
             name=proc.name,
             variables=list(proc.cfg.variables),
@@ -316,7 +298,6 @@ def execute_job(job: AnalysisJob) -> JobResult:
         op_calls=dict(collector.op_calls),
         histograms=collector.histograms_export(),
         rungs=rungs,
-        dbms=dbms,
         trace_events=session.events if session is not None else [],
     )
 

@@ -2,9 +2,7 @@
 
 Every message -- a job submitted to a worker, a result or heartbeat
 coming back -- is one ``pickle.dumps(payload, protocol=5)`` frame sent
-with ``Connection.send_bytes``.  Protocol 5 (PEP 574) writes a NumPy
-array's bytes as one binary frame with no escaping, so the exit DBMs a
-``keep_invariants`` job ships cross the pipe as a single copy.
+with ``Connection.send_bytes``.
 
 There are two lanes: :func:`send_job`/:func:`recv_job` carry every
 frame of a pool worker's job pipe (submissions and the ``("exit",)``

@@ -1,5 +1,6 @@
 """Tests for cooperative budgets and their engine integration."""
 
+import threading
 import time
 
 import pytest
@@ -96,6 +97,25 @@ class TestAmbientBudget:
             with governed(inner):
                 assert active_budget() is inner
             assert active_budget() is outer
+
+    def test_scope_is_per_thread(self):
+        # Another thread's tight scope must not reach an unscoped caller.
+        entered, leave = threading.Event(), threading.Event()
+
+        def hold_scope():
+            with governed(Budget(max_cells=1)):
+                entered.set()
+                leave.wait(5.0)
+
+        holder = threading.Thread(target=hold_scope)
+        holder.start()
+        try:
+            assert entered.wait(5.0)
+            assert active_budget() is None
+            charge_cells(10)
+        finally:
+            leave.set()
+            holder.join()
 
 
 class TestEngineIntegration:

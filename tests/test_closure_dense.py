@@ -1,69 +1,9 @@
-"""Tests specific to the packed dense closure (Algorithm 3)."""
+"""Operation counts of the scalar dense closure (Algorithm 3)."""
 
-import numpy as np
-from hypothesis import given, settings
-
-from dbm_strategies import coherent_dbms
 from repro.core.closure_apron import apron_closure_op_count, closure_apron
-from repro.core.closure_dense import (
-    closure_dense_numpy,
-    closure_dense_packed_roundtrip,
-    closure_dense_scalar,
-    dense_closure_op_count,
-    pack,
-    packed_index,
-    unpack,
-)
-from repro.core.densemat import is_coherent, new_top
+from repro.core.closure_dense import closure_dense_scalar, dense_closure_op_count
 from repro.core.halfmat import HalfMat
-from repro.core.indexing import half_size, matpos2
 from repro.core.stats import OpCounter
-
-
-class TestPackedIndex:
-    def test_idx_matches_matpos2(self):
-        px = packed_index(3)
-        for i in range(6):
-            for j in range(6):
-                assert px.idx[i, j] == matpos2(i, j)
-
-    def test_rows_cols_consistent(self):
-        px = packed_index(4)
-        assert px.rows.shape == (half_size(4),)
-        for slot in range(half_size(4)):
-            i, j = int(px.rows[slot]), int(px.cols[slot])
-            assert px.idx[i, j] == slot
-
-    def test_cache_returns_same_object(self):
-        assert packed_index(5) is packed_index(5)
-
-    def test_unary_and_diag_offsets(self):
-        px = packed_index(2)
-        for i in range(4):
-            assert px.diag[i] == matpos2(i, i)
-            assert px.unary[i] == matpos2(i, i ^ 1)
-
-
-class TestPackUnpack:
-    @given(coherent_dbms())
-    @settings(max_examples=40, deadline=None)
-    def test_roundtrip(self, m):
-        flat, px = pack(m)
-        assert flat.shape == (half_size(m.shape[0] // 2),)
-        back = unpack(flat, px)
-        assert np.array_equal(np.isinf(m), np.isinf(back))
-        finite = np.isfinite(m)
-        assert np.allclose(m[finite], back[finite])
-        assert is_coherent(back)
-
-    def test_unpack_into_out(self):
-        m = new_top(2)
-        m[1, 0] = 3.0
-        m[0, 1] = 3.0
-        flat, px = pack(m)
-        out = np.empty_like(m)
-        unpack(flat, px, out=out)
-        assert out[1, 0] == 3.0
 
 
 class TestOpCounts:
@@ -98,28 +38,3 @@ class TestOpCounts:
         closure_dense_scalar(busy, c2)
         assert c1.mins == c2.mins
 
-
-class TestPackedRoundtripClosure:
-    @given(coherent_dbms())
-    @settings(max_examples=40, deadline=None)
-    def test_packed_matches_production(self, m):
-        """The packed Algorithm 3 kernel and the production sweep agree."""
-        a, b = m.copy(), m.copy()
-        ea = closure_dense_packed_roundtrip(a)
-        eb = closure_dense_numpy(b)
-        assert ea == eb
-        if not ea:
-            assert np.array_equal(np.isinf(a), np.isinf(b))
-            fa = np.isfinite(a)
-            assert np.allclose(a[fa], b[fa])
-
-    def test_packed_does_half_the_candidates(self):
-        """The headline op-count claim, on the vectorised kernels."""
-        from repro.core.stats import OpCounter
-        from repro.core.densemat import new_top
-        n = 10
-        cp = OpCounter()
-        closure_dense_packed_roundtrip(new_top(n), cp)
-        cf = OpCounter()
-        closure_dense_numpy(new_top(n), cf)
-        assert cp.mins < 0.6 * cf.mins

@@ -217,8 +217,7 @@ class TestIncremental:
 @pytest.fixture
 def server(tmp_path):
     srv = AnalysisServer(str(tmp_path / "serve.sock"),
-                         cache=ResultCache(str(tmp_path / "cache")),
-                         workers=4)
+                         cache=ResultCache(str(tmp_path / "cache")))
     srv.start()
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
@@ -248,9 +247,13 @@ class TestServer:
         assert "kernel_backend" not in status
         assert status["cache_dir"] == str(server.cache.root)
         assert status["address"].endswith("serve.sock")
-        assert status["workers"] == 4
+        # pool=0 and the default queue depth of 16: max(1, 0) + 16
+        assert status["admission_limit"] == 17
 
     def test_status_reports_memory_lru_occupancy(self, server):
+        lru = server.analyzer._results
+        weigh, weighed = lru._weigh, []
+        lru._weigh = lambda value: weighed.append(value) or weigh(value)
         with ServeClient(server.socket_path) as client:
             empty = client.status()
             assert empty["lru_entries"] == 0
@@ -260,6 +263,8 @@ class TestServer:
         # one cached entry per analysed procedure, weighed by result size
         assert warm["lru_entries"] == 2
         assert warm["lru_bytes"] > 0
+        # ... and each put weighed its result exactly once
+        assert len(weighed) == 2
 
     def test_stats_and_metrics_surface_tiers(self, server):
         from repro.obs.metrics import validate_prometheus_text

@@ -226,7 +226,7 @@ class TestSupervisor:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def pool_server(tmp_path):
-    srv = AnalysisServer(str(tmp_path / "serve.sock"), workers=2, pool=2,
+    srv = AnalysisServer(str(tmp_path / "serve.sock"), pool=2,
                          use_cache=False)
     srv.start()
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -343,7 +343,7 @@ class TestServeConnChaos:
             self._teardown(srv, thread)
 
     def test_overload_sheds_and_retries_converge(self, tmp_path):
-        srv, thread = self._server(tmp_path, workers=1, queue_depth=0)
+        srv, thread = self._server(tmp_path, queue_depth=0)
         source = _slow_source()
         results, errors = [], []
 
@@ -365,7 +365,7 @@ class TestServeConnChaos:
             assert not errors
             assert len(results) == 4
             assert all(r["result"]["outcome"] == "ok" for r in results)
-            # With one worker and no queue, concurrent clients MUST
+            # With one admission slot, concurrent clients MUST
             # have been shed at least once -- and their retries then
             # converged on the answer above.
             assert srv.errors_by_cause["overloaded"] >= 1
@@ -373,7 +373,7 @@ class TestServeConnChaos:
             self._teardown(srv, thread)
 
     def test_overloaded_error_is_structured(self, tmp_path):
-        srv, thread = self._server(tmp_path, workers=1, queue_depth=0)
+        srv, thread = self._server(tmp_path, queue_depth=0)
         source = _slow_source()
         try:
             blocker = ServeClient(srv.socket_path, timeout=120)
@@ -426,7 +426,7 @@ class TestServeProcessChaos:
         return proc, sock
 
     def test_sigterm_drains_inflight_request(self, tmp_path):
-        proc, sock = self._spawn(tmp_path, "--pool", "2", "--workers", "2")
+        proc, sock = self._spawn(tmp_path, "--pool", "2")
         wait_ready(str(sock), timeout=30)
         source = _slow_source(nvars=170)
         box = {}

@@ -86,7 +86,7 @@ class TestJobModel:
         assert base.key() != AnalysisJob(source=OK_SOURCE,
                                          widening_delay=5).key()
         assert base.key() != AnalysisJob(source=OK_SOURCE,
-                                         keep_invariants=True).key()
+                                         cell_budget=1000).key()
 
     def test_execute_job_ok(self):
         job = AnalysisJob(source=OK_SOURCE, label="demo")

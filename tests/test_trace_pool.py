@@ -57,7 +57,7 @@ def traced_pool_server(tmp_path):
     """A pooled daemon with tracing armed in the daemon process."""
     trace.reset()
     trace.enable()
-    srv = AnalysisServer(str(tmp_path / "serve.sock"), workers=2, pool=2,
+    srv = AnalysisServer(str(tmp_path / "serve.sock"), pool=2,
                          use_cache=False)
     srv.start()
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -166,7 +166,7 @@ def _get(port, path):
 
 @pytest.fixture
 def http_server(tmp_path):
-    srv = AnalysisServer(str(tmp_path / "serve.sock"), workers=2, pool=0,
+    srv = AnalysisServer(str(tmp_path / "serve.sock"), pool=0,
                          use_cache=False, http_port=0, slow_request_ms=None)
     srv.start()
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
@@ -223,7 +223,7 @@ class TestHTTPFacade:
         assert "/metrics" in json.loads(body)["routes"]
 
     def test_healthz_reflects_open_breaker(self, tmp_path):
-        srv = AnalysisServer(str(tmp_path / "serve.sock"), workers=2, pool=1,
+        srv = AnalysisServer(str(tmp_path / "serve.sock"), pool=1,
                              worker_restarts=1, use_cache=False, http_port=0)
         srv.start()
         thread = threading.Thread(target=srv.serve_forever, daemon=True)

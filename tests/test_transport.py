@@ -3,8 +3,7 @@
 Every message crosses a pipe as one protocol-5 pickle frame.  Covers
 the round trip itself (plain data and NumPy arrays, small and large),
 the parent-side byte counters, and the end-to-end property the batch
-pool relies on: a parallel batch with ``keep_invariants`` ships its
-DBMs back bit-identical to an inline run.
+pool relies on: a parallel batch returns the verdicts of an inline run.
 """
 
 import multiprocessing
@@ -72,16 +71,11 @@ class TestBatchTransport:
                 for label, src in sorted(SOURCES.items())]
 
     def test_parallel_matches_inline_and_ships_dbms(self):
-        inline = run_batch(self._jobs(keep_invariants=True), workers=1)
-        parallel = run_batch(self._jobs(keep_invariants=True), workers=2)
+        inline = run_batch(self._jobs(), workers=1)
+        parallel = run_batch(self._jobs(), workers=2)
         assert parallel.outcome_counts() == {"ok": 3}
         assert [r.verdicts() for r in parallel.results] \
             == [r.verdicts() for r in inline.results]
-        for mine, ref in zip(parallel.results, inline.results):
-            assert sorted(mine.dbms) == sorted(ref.dbms)
-            for name, mat in mine.dbms.items():
-                assert isinstance(mat, np.ndarray)
-                assert mat.tobytes() == ref.dbms[name].tobytes()
         assert parallel.transport["bytes_shipped"] > 0
 
     def test_batch_counters_surface_transport(self):
