@@ -98,11 +98,10 @@ def closure_decomposed(
     piggybacked recomputation that keeps the maintained structure from
     degrading towards the dense case.
     """
-    n = m.shape[0] // 2
     if partition.is_empty():
         return False, partition
     # Degenerate single full block: defer to the plain dense/sparse path.
-    if len(partition.blocks) == 1 and len(partition.blocks[0]) == n:
+    if partition.is_full_block():
         empty = kernels.dense_closure(m, counter)
         if empty:
             return True, partition

@@ -219,7 +219,7 @@ class Octagon:
             return DbmKind.TOP
         if not self.policy.decompose:
             return DbmKind.DENSE
-        if len(self.partition.blocks) > 1 or len(self.partition.support) < self.n:
+        if not self.partition.is_full_block():
             return DbmKind.DECOMPOSED
         if self.policy.is_sparse(self.nni, self.n):
             return DbmKind.SPARSE
@@ -282,7 +282,7 @@ class Octagon:
     def _close_in_place(self) -> None:
         """Dispatch on the DBM kind and close ``self.mat`` in place."""
         kind = self.kind
-        components = len(self.partition.blocks)
+        components = self.partition.block_count()
         if kind != DbmKind.TOP:
             stats.capture_closure_input(self.mat, self.partition.blocks)
             # Budget checkpoint: charge the matrix area this kernel is
@@ -328,15 +328,15 @@ class Octagon:
         always holds the full ``(2n)^2`` matrix at 8 bytes a cell
         (container overhead excluded), and ``nni`` counts its finite
         half cells."""
-        stats.bump_max("dbm_finite_cells", self.nni)
-        stats.bump_max("dbm_half_size", half_size(self.n))
-        stats.bump_max("dbm_peak_bytes", 8 * (2 * self.n) ** 2)
+        stats.bump_max_many((("dbm_finite_cells", self.nni),
+                             ("dbm_half_size", half_size(self.n)),
+                             ("dbm_peak_bytes", 8 * (2 * self.n) ** 2)))
 
     def _incremental_close(self, v: int) -> None:
         """Quadratic re-closure after changes confined to variable ``v``."""
         _budget.charge_cells(swept_cells(2 * self.n))
         with stats.timed_op("closure_inc", n=self.n, kind="incremental",
-                            components=len(self.partition.blocks), v=v):
+                            components=self.partition.block_count(), v=v):
             m = self._write_mat()
             empty = kernels.incremental_closure(m, v)
         if empty:
@@ -358,7 +358,7 @@ class Octagon:
         blocks keeps the partition a sound over-approximation at O(n)
         cost.
         """
-        if not self.policy.decompose:
+        if not self.policy.decompose or self.partition.is_full_block():
             return
         ws = get_workspace(2 * self.n)
         d = m[ws.arange, ws.xor]
@@ -578,12 +578,11 @@ class Octagon:
         components cover a small fraction of the matrix and the matrix
         is big enough for a full pass to matter.
         """
-        if not self.policy.decompose or not part.blocks:
-            return False
-        if len(part.blocks) == 1 and len(part.blocks[0]) == self.n:
+        if (not self.policy.decompose or self.n < 16 or part.is_empty()
+                or part.is_full_block()):
             return False
         area = sum((2 * len(b)) ** 2 for b in part.blocks)
-        return 4 * area <= (2 * self.n) ** 2 and self.n >= 16
+        return 4 * area <= (2 * self.n) ** 2
 
     # ------------------------------------------------------------------
     # constraint meets and tests
@@ -719,7 +718,7 @@ class Octagon:
         _sentinel.check(out)
         return out
 
-    def _assign_closed_form(self, v: int, related: Sequence[int],
+    def _assign_closed_form(self, v: int, w: Optional[int],
                             write) -> "Octagon":
         """Shared frame of the closed-form assignments (Mine's exact
         octagon assignment transfer functions).
@@ -730,7 +729,8 @@ class Octagon:
         result equals forget, meet and incremental re-closure (section
         5.6) bit for bit, in O(n) instead of O(n^2), with the same
         partition upkeep; it charges the 8n cells it writes, where the
-        re-closure would sweep ``swept_cells(2n)``.
+        re-closure would sweep ``swept_cells(2n)``.  ``w`` is the source
+        of ``v := +-w + c``, ``None`` for ``v := [lo, hi]``.
         """
         closed = self.closure()
         if self._bottom:
@@ -741,10 +741,18 @@ class Octagon:
             out = closed.copy()
             m = out._write_mat()
             write(m, 2 * v, 2 * v + 1)
-            out.partition = out.partition.remove_var(v).merge_blocks_containing(
-                related)
+            part = out.partition
+            if w is None:
+                out.partition = part.remove_var(v).merge_blocks_containing([v])
+                out._merge_unary_blocks(m)
+            elif not part.is_full_block():
+                # A closed octagon keeps every variable with a finite
+                # unary bound in one block (strengthening relates each
+                # such pair), and ``v`` now has one exactly when ``w``
+                # does, so joining ``v`` to ``w``'s block keeps that
+                # without a diagonal scan.
+                out.partition = part.remove_var(v).merge_blocks_containing([v, w])
             out.nni = count_nni(m)
-            out._merge_unary_blocks(m)
             out.closed = True
             out._record_footprint()
         _sentinel.check(out)
@@ -777,7 +785,7 @@ class Octagon:
             m[p0, p0] = 0.0
             m[p1, p1] = 0.0
 
-        return self._assign_closed_form(v, [v], write)
+        return self._assign_closed_form(v, None, write)
 
     def assign_const(self, v: int, c: float) -> "Octagon":
         """``v := c``"""
@@ -847,7 +855,7 @@ class Octagon:
             m[p0, p0] = 0.0
             m[p1, p1] = 0.0
 
-        return self._assign_closed_form(v, [v, w], write)
+        return self._assign_closed_form(v, w, write)
 
     def assign_linexpr(self, v: int, expr: LinExpr) -> "Octagon":
         """``v := expr`` for an arbitrary linear expression.
@@ -1104,4 +1112,4 @@ class Octagon:
         if self._bottom:
             return f"Octagon(n={self.n}, bottom)"
         return (f"Octagon(n={self.n}, kind={self.kind}, nni={self.nni}, "
-                f"components={len(self.partition.blocks)}, closed={self.closed})")
+                f"components={self.partition.block_count()}, closed={self.closed})")

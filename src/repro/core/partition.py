@@ -8,8 +8,11 @@ of this relation partitions a subset ``V'`` of the variables into
 non-trivial inequality at all.
 
 The paper stores the components as a linked list of sorted linked lists
-of variable indices.  We store a list of sorted Python lists plus a
-variable->block map, which supports the same operations:
+of variable indices.  We store one int label per variable: the smallest
+member of the variable's block, or ``-1`` outside the support.  The
+sorted block lists are built only when something reads them, then
+cached.  Labels are canonical (equal partitions have equal label
+lists), and they support the same operations:
 
 * ``union`` of two component sets -- induced by the octagon **meet**
   (a pair related in either input may be related in the result), this
@@ -22,6 +25,9 @@ variable->block map, which supports the same operations:
 * merging of blocks, needed by the strengthening step of the
   decomposed closure.
 
+Every operator but the extraction works on the label lists alone, and
+one that changes nothing returns the partition itself.
+
 Maintained partitions may *over-approximate* the exact one (coarser
 blocks, larger support); that costs operations but never precision.
 """
@@ -33,35 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set
 import numpy as np
 
 from .cow import is_enabled as _sharing_enabled
-
-
-class UnionFind:
-    """Classic disjoint-set forest with path compression + union by size."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        parent = self.parent
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> int:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return ra
 
 
 def _connected_components(adj: np.ndarray) -> np.ndarray:
@@ -96,14 +73,18 @@ def _connected_components(adj: np.ndarray) -> np.ndarray:
 
 
 class Partition:
-    """A partial partition of ``{0 .. n-1}`` into independent components."""
+    """A partial partition of ``{0 .. n-1}`` into independent components.
 
-    __slots__ = ("n", "blocks", "_var2block")
+    Immutable once built (``add_block`` is for construction only), so
+    operators may return an input unchanged and octagon copies share it.
+    """
+
+    __slots__ = ("n", "_labels", "_blocks")
 
     def __init__(self, n: int, blocks: Optional[Iterable[Sequence[int]]] = None):
         self.n = n
-        self.blocks: List[List[int]] = []
-        self._var2block: Dict[int, int] = {}
+        self._labels: List[int] = [-1] * n
+        self._blocks: Optional[List[List[int]]] = None
         if blocks is not None:
             for block in blocks:
                 self.add_block(block)
@@ -112,14 +93,29 @@ class Partition:
     # construction
     # ------------------------------------------------------------------
     @classmethod
+    def _of(cls, n: int, labels: List[int]) -> "Partition":
+        """Wrap a label list (the caller guarantees smallest-member labels)."""
+        part = cls.__new__(cls)
+        part.n = n
+        part._labels = labels
+        part._blocks = None
+        return part
+
+    @classmethod
     def empty(cls, n: int) -> "Partition":
         """No variable participates in any non-trivial inequality (Top)."""
-        return cls(n)
+        return cls._of(n, [-1] * n)
 
     @classmethod
     def single_block(cls, n: int) -> "Partition":
         """All variables in one component (the degenerate dense case)."""
-        return cls(n, [list(range(n))]) if n else cls(n)
+        return cls._of(n, [0] * n)
+
+    @classmethod
+    def from_components(cls, labels: np.ndarray, support: np.ndarray) -> "Partition":
+        """The partition of ``support`` by :func:`_connected_components`
+        labels (each component's smallest vertex)."""
+        return cls._of(len(labels), np.where(support, labels, -1).tolist())
 
     @classmethod
     def from_matrix(cls, m: np.ndarray) -> "Partition":
@@ -129,69 +125,89 @@ class Partition:
         entries against some variable (possibly itself, for unary
         constraints) is finite; the diagonal ``0`` entries are trivial
         and ignored.  This is the exact structural refresh piggybacked
-        on every closure; blocks come out ordered by their smallest
-        variable.
+        on every closure.
         """
-        dim = m.shape[0]
-        n = dim // 2
         finite = np.isfinite(m)
         np.fill_diagonal(finite, False)
-        # Collapse each 2x2 block: adj[v, w] == some finite entry relates v, w.
-        adj = finite.reshape(n, 2, n, 2).any(axis=(1, 3))
+        # Collapse each 2x2 block: adj[v, w] == some finite entry relates
+        # v, w.  Two ORs of strided halves; ``any(axis=(1, 3))`` on the
+        # 4-d reshape takes ten times as long at n = 40.
+        rows = finite[0::2] | finite[1::2]
+        adj = rows[:, 0::2] | rows[:, 1::2]
+        if adj.size and adj[0].all():  # everything relates to variable 0
+            return cls.single_block(adj.shape[0])
         support = adj.any(axis=1)
-        part = cls(n)
         if not support.any():
-            return part
-        labels = _connected_components(adj)
-        groups: Dict[int, List[int]] = {}
-        for v in np.nonzero(support)[0].tolist():
-            groups.setdefault(int(labels[v]), []).append(v)
-        for block in groups.values():
-            part.add_block(block)
-        return part
+            return cls.empty(adj.shape[0])
+        return cls.from_components(_connected_components(adj), support)
 
     def add_block(self, variables: Sequence[int]) -> None:
         block = sorted(set(variables))
         if not block:
             return
+        labels = self._labels
         for v in block:
-            if v in self._var2block:
-                raise ValueError(f"variable {v} already in a block")
             if not 0 <= v < self.n:
                 raise ValueError(f"variable {v} out of range for n={self.n}")
-        self.blocks.append(block)
-        idx = len(self.blocks) - 1
+            if labels[v] >= 0:
+                raise ValueError(f"variable {v} already in a block")
         for v in block:
-            self._var2block[v] = idx
+            labels[v] = block[0]
+        self._blocks = None
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     @property
+    def blocks(self) -> List[List[int]]:
+        """The components, each sorted, ordered by smallest variable."""
+        if self._blocks is None:
+            if self.is_full_block():
+                self._blocks = [list(range(self.n))]
+            else:
+                groups: Dict[int, List[int]] = {}
+                for v, label in enumerate(self._labels):
+                    if label >= 0:
+                        groups.setdefault(label, []).append(v)
+                self._blocks = list(groups.values())
+        return self._blocks
+
+    def block_count(self) -> int:
+        """Number of components, without building the block lists."""
+        return len(set(self._labels) - {-1})
+
+    @property
     def support(self) -> Set[int]:
         """Variables that belong to some component."""
-        return set(self._var2block)
+        return {v for v, label in enumerate(self._labels) if label >= 0}
 
     def is_empty(self) -> bool:
-        return not self.blocks
+        return self._labels.count(-1) == self.n
+
+    def is_full_block(self) -> bool:
+        """All ``n`` variables in one component."""
+        return self.n > 0 and self._labels.count(0) == self.n
 
     def copy(self) -> "Partition":
-        return Partition(self.n, self.blocks)
+        return Partition._of(self.n, list(self._labels))
+
+    def _same(self) -> "Partition":
+        """The result of an operation that changes nothing: ``self``,
+        or a copy when the COW layer is off (baseline allocation)."""
+        return self if _sharing_enabled() else self.copy()
 
     def canonical(self) -> List[List[int]]:
         """Blocks sorted for comparison and display."""
-        return sorted(self.blocks)
+        return list(self.blocks)  # already ordered by smallest variable
 
     def overapproximates(self, exact: "Partition") -> bool:
         """True if ``self`` is a coarsening of ``exact`` on a superset
         of its support -- the safety condition for maintained partitions."""
         if self.n != exact.n:
             return False
-        for block in exact.blocks:
-            first = self._var2block.get(block[0])
-            if first is None:
-                return False
-            if any(self._var2block.get(v) != first for v in block[1:]):
+        seen: Dict[int, int] = {}
+        for mine, theirs in zip(self._labels, exact._labels):
+            if theirs >= 0 and (mine < 0 or seen.setdefault(theirs, mine) != mine):
                 return False
         return True
 
@@ -202,37 +218,45 @@ class Partition:
         """Partition join: merge overlapping blocks (octagon *meet*)."""
         if self.n != other.n:
             raise ValueError("partition size mismatch")
-        # Partitions are immutable after construction, so when the COW
-        # layer is on (sharing mode) idempotent results alias the input.
-        if other is self and _sharing_enabled():
-            return self
-        uf = UnionFind(self.n)
-        members: Set[int] = set()
-        for part in (self, other):
-            for block in part.blocks:
-                members.update(block)
-                for v in block[1:]:
-                    uf.union(block[0], v)
-        groups: Dict[int, List[int]] = {}
-        for v in members:
-            groups.setdefault(uf.find(v), []).append(v)
-        return Partition(self.n, groups.values())
+        a, b = self._labels, other._labels
+        if a == b or self.is_full_block() or other.is_empty():
+            return self._same()
+        if other.is_full_block() or self.is_empty():
+            return other._same()
+        # Union-find over the variables, always hooking the larger root
+        # under the smaller, so every root is its component's minimum.
+        root = list(range(self.n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for v in range(self.n):
+            for label in (a[v], b[v]):
+                if label >= 0:
+                    rv, rl = find(v), find(label)
+                    if rv != rl:
+                        root[max(rv, rl)] = min(rv, rl)
+        return Partition._of(self.n, [find(v) if a[v] >= 0 or b[v] >= 0 else -1
+                                      for v in range(self.n)])
 
     def intersection(self, other: "Partition") -> "Partition":
         """Partition meet: blockwise intersection on the common support
         (octagon *join* / *widening*)."""
         if self.n != other.n:
             raise ValueError("partition size mismatch")
-        if other is self and _sharing_enabled():
-            return self
-        out = Partition(self.n)
-        seen: Dict[tuple, List[int]] = {}
-        for v in self.support & other.support:
-            key = (self._var2block[v], other._var2block[v])
-            seen.setdefault(key, []).append(v)
-        for block in seen.values():
-            out.add_block(block)
-        return out
+        if self._labels == other._labels or other.is_full_block():
+            return self._same()
+        if self.is_full_block():
+            return other._same()
+        out = [-1] * self.n
+        first: Dict[tuple, int] = {}
+        for v, key in enumerate(zip(self._labels, other._labels)):
+            if key[0] >= 0 and key[1] >= 0:
+                out[v] = first.setdefault(key, v)
+        return Partition._of(self.n, out)
 
     def remove_var(self, v: int) -> "Partition":
         """Drop ``v`` from its block (after a forget/projection).
@@ -241,15 +265,16 @@ class Partition:
         remainder together, which is a sound over-approximation.  The
         exact partition is restored at the next closure.
         """
-        idx = self._var2block.get(v)
-        if idx is None:
-            return self if _sharing_enabled() else self.copy()
-        out = Partition(self.n)
-        for i, block in enumerate(self.blocks):
-            kept = [w for w in block if w != v] if i == idx else block
-            if kept:
-                out.add_block(kept)
-        return out
+        label = self._labels[v]
+        if label < 0:
+            return self._same()
+        out = list(self._labels)
+        out[v] = -1
+        if label == v:  # v named its block: the next member takes over
+            rest = [w for w in range(v + 1, self.n) if out[w] == v]
+            for w in rest:
+                out[w] = rest[0]
+        return Partition._of(self.n, out)
 
     def merge_blocks_containing(self, variables: Iterable[int]) -> "Partition":
         """Coarsen: fuse every block that contains one of ``variables``.
@@ -257,28 +282,20 @@ class Partition:
         Variables not currently in any block join the fused block too
         (used when strengthening creates new unary constraints).
         """
+        if self.is_full_block():
+            return self._same()
+        labels = self._labels
         vars_list = [v for v in variables if 0 <= v < self.n]
-        if not vars_list:
-            return self if _sharing_enabled() else self.copy()
-        if _sharing_enabled():
-            first = self._var2block.get(vars_list[0])
-            if first is not None and all(
-                    self._var2block.get(v) == first for v in vars_list):
-                return self  # already one block: fusing is a no-op
-        fused: Set[int] = set()
-        untouched: List[List[int]] = []
-        hit_blocks = {self._var2block[v] for v in vars_list if v in self._var2block}
-        for idx, block in enumerate(self.blocks):
-            if idx in hit_blocks:
-                fused.update(block)
-            else:
-                untouched.append(block)
-        fused.update(vars_list)
-        out = Partition(self.n)
-        for block in untouched:
-            out.add_block(block)
-        out.add_block(sorted(fused))
-        return out
+        hit = {labels[v] for v in vars_list}
+        if not vars_list or (len(hit) == 1 and -1 not in hit):
+            return self._same()  # nothing to fuse, or already one block
+        hit.discard(-1)
+        target = min(min(vars_list), min(hit, default=self.n))
+        hit.discard(target)  # the block already labelled ``target`` stays
+        out = [target if label in hit else label for label in labels] if hit else list(labels)
+        for v in vars_list:
+            out[v] = target
+        return Partition._of(self.n, out)
 
     # ------------------------------------------------------------------
     # dunder
@@ -286,7 +303,7 @@ class Partition:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
             return NotImplemented
-        return self.n == other.n and self.canonical() == other.canonical()
+        return self.n == other.n and self._labels == other._labels
 
     def __hash__(self):
         raise TypeError("Partition is unhashable")

@@ -3,9 +3,10 @@
 The optimised octagon maintains several redundant structures whose
 silent corruption would not crash anything -- it would just make the
 analysis *wrong*: the coherence mirror (``m[i, j] == m[j^1, i^1]``),
-the finite-entry count ``nni``, the independent-component partition,
-the ``closed`` flag and the versioned closed-form cache riding on the
-COW layer.  A single flipped cell (cosmic ray, buffer bug, a kernel
+the finite-entry count ``nni``, the independent-component partition
+(a closed octagon keeps its unary-bounded variables in one block), the
+``closed`` flag and the versioned closed-form cache riding on the COW
+layer.  A single flipped cell (cosmic ray, buffer bug, a kernel
 writing through a shared COW matrix) yields plausible-looking but
 unsound invariants.
 
@@ -114,9 +115,25 @@ def validate_octagon(oct_) -> None:
                   f"{exact!r}")
 
     if oct_.closed and not oct_._bottom:
+        if oct_.policy.decompose:
+            _check_unary_block(oct_.partition, m, n)
         _certify_closed(m, n)
 
     _validate_closure_cache(oct_)
+
+
+def _check_unary_block(partition, m: np.ndarray, n: int) -> None:
+    """A closed octagon keeps every variable with a finite unary bound
+    in one block: strengthening relates each such pair, and the
+    closed-form ``assign_var`` relies on it instead of a diagonal scan.
+    Reads the diagonal of ``m`` itself, never a closure."""
+    idx = np.arange(2 * n)
+    unary = np.isfinite(m[idx, idx ^ 1]).reshape(n, 2).any(axis=1)
+    bounded = np.nonzero(unary)[0].tolist()
+    if partition.merge_blocks_containing(bounded) != partition:
+        _fail("unary-block",
+              f"variables with unary bounds {bounded} are not in one block "
+              f"of {partition!r}")
 
 
 def _certify_closed(m: np.ndarray, n: int) -> None:

@@ -27,7 +27,7 @@ from repro.obs.collect import (  # noqa: F401
     StatsCollector,
     active_collector,
     bump,
-    bump_max,
+    bump_max_many,
     capture_closure_input,
     collecting,
     timed_op,
@@ -60,7 +60,7 @@ __all__ = [
     "StatsCollector",
     "active_collector",
     "bump",
-    "bump_max",
+    "bump_max_many",
     "capture_closure_input",
     "collecting",
     "register_counter_source",

@@ -92,16 +92,9 @@ def _partition_from_matrix(m: np.ndarray) -> Partition:
     # Bounded variables form their own support through Z.
     bounded = np.isfinite(m[0, 1:]) | np.isfinite(m[1:, 0])
     support = adj.any(axis=1) | bounded
-    part = Partition(n)
     if not support.any():
-        return part
-    labels = _connected_components(adj)
-    groups = {}
-    for v in np.nonzero(support)[0].tolist():
-        groups.setdefault(int(labels[v]), []).append(v)
-    for block in groups.values():
-        part.add_block(block)
-    return part
+        return Partition.empty(n)
+    return Partition.from_components(_connected_components(adj), support)
 
 
 class Zone:

@@ -325,13 +325,15 @@ def bump(name: str, amount: int = 1) -> None:
         collector.bump(name, amount)
 
 
-def bump_max(name: str, value: int) -> None:
-    """Raise a high-water-mark counter on every collector active on
-    this thread (no-op otherwise); see :meth:`StatsCollector.bump_max`."""
+def bump_max_many(gauges) -> None:
+    """Raise each ``(name, value)`` high-water-mark counter on every
+    collector active on this thread, in one walk of the stack (no-op
+    otherwise); see :meth:`StatsCollector.bump_max`."""
     if getattr(_TLS, "active", None) is None:
         return
     for collector in _stack():
-        collector.bump_max(name, value)
+        for name, value in gauges:
+            collector.bump_max(name, value)
 
 
 class OpCounter:
@@ -360,7 +362,7 @@ __all__ = [
     "StatsCollector",
     "active_collector",
     "bump",
-    "bump_max",
+    "bump_max_many",
     "capture_closure_input",
     "collecting",
     "timed_op",

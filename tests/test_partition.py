@@ -1,13 +1,46 @@
 """Tests for independent-component partitions."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dbm_strategies import block_dbms, coherent_dbms, make_coherent_dbm
+from repro.core import cow
 from repro.core.densemat import new_top
-from repro.core.partition import Partition, UnionFind, _connected_components
+from repro.core.partition import Partition, _connected_components
+
+
+class UnionFind:
+    """Classic disjoint-set forest with path compression + union by
+    size: the reference the label partition is checked against."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def find(self, x: int) -> int:
+        root = x
+        parent = self.parent
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> int:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return ra
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return ra
 
 
 class TestUnionFind:
@@ -112,6 +145,10 @@ class TestConstruction:
     def test_single_block(self):
         p = Partition.single_block(3)
         assert p.canonical() == [[0, 1, 2]]
+
+    def test_zero_variables(self):
+        for p in (Partition.empty(0), Partition.single_block(0)):
+            assert p.is_empty() and not p.is_full_block() and p.blocks == []
 
     def test_add_block_rejects_overlap(self):
         p = Partition(4, [[0, 1]])
@@ -218,3 +255,114 @@ class TestLaws:
         assert "blocks" in repr(p)
         with pytest.raises(TypeError):
             hash(p)
+
+
+class SetPartition:
+    """The reference model: a plain list of disjoint variable sets."""
+
+    def __init__(self, n, blocks):
+        self.n = n
+        self.blocks = [set(b) for b in blocks if b]
+
+    def canonical(self):
+        return sorted(sorted(b) for b in self.blocks)
+
+    @property
+    def support(self):
+        return set().union(*self.blocks)
+
+    def is_empty(self):
+        return not self.blocks
+
+    def is_full_block(self):
+        return len(self.blocks) == 1 and len(self.blocks[0]) == self.n
+
+    def overapproximates(self, exact):
+        return all(any(b <= mine for mine in self.blocks) for b in exact.blocks)
+
+    def union(self, other):
+        uf = UnionFind(self.n)
+        for block in self.blocks + other.blocks:
+            first = min(block)
+            for v in block:
+                uf.union(first, v)
+        groups = {}
+        for v in self.support | other.support:
+            groups.setdefault(uf.find(v), set()).add(v)
+        return SetPartition(self.n, groups.values())
+
+    def intersection(self, other):
+        return SetPartition(self.n, [a & b for a in self.blocks for b in other.blocks])
+
+    def remove_var(self, v):
+        return SetPartition(self.n, [b - {v} for b in self.blocks])
+
+    def merge_blocks_containing(self, variables):
+        hit = {v for v in variables if 0 <= v < self.n}
+        if not hit:
+            return SetPartition(self.n, self.blocks)
+        fused = set(hit)
+        kept = []
+        for block in self.blocks:
+            if block & hit:
+                fused |= block
+            else:
+                kept.append(block)
+        return SetPartition(self.n, kept + [fused])
+
+
+def _edges_matrix(n, edges):
+    """A coherent DBM relating each drawn pair (a self-pair is a unary
+    bound)."""
+    return make_coherent_dbm(n, [(2 * v, 2 * w + (v == w), 1.0) for v, w in edges])
+
+
+class TestLabelModel:
+    """Random operation sequences on the label partition and on the
+    list-of-sets reference agree on every query."""
+
+    @staticmethod
+    def _agree(part, ref):
+        assert part.canonical() == ref.canonical()
+        assert part.blocks == ref.canonical()
+        assert part.support == ref.support
+        assert part.is_empty() == ref.is_empty()
+        assert part.is_full_block() == ref.is_full_block()
+        # Labels stay canonical: each names its block's smallest member.
+        assert part == Partition(ref.n, ref.canonical())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_operations_match_set_model(self, data):
+        n = data.draw(st.integers(1, 8))
+        var = st.integers(0, n - 1)
+        with cow.disabled() if data.draw(st.booleans()) else nullcontext():
+            pool = []
+            for _ in range(data.draw(st.integers(1, 3))):
+                edges = data.draw(st.lists(st.tuples(var, var), max_size=2 * n))
+                ref = SetPartition(n, _reference_blocks(_edges_matrix(n, edges)))
+                pool.append((Partition.from_matrix(_edges_matrix(n, edges)), ref))
+            for _ in range(data.draw(st.integers(1, 12))):
+                op = data.draw(st.sampled_from(
+                    ["from_matrix", "union", "intersection", "remove_var", "merge"]))
+                part, ref = data.draw(st.sampled_from(pool))
+                if op == "from_matrix":
+                    edges = data.draw(st.lists(st.tuples(var, var), max_size=2 * n))
+                    m = _edges_matrix(n, edges)
+                    part, ref = Partition.from_matrix(m), SetPartition(n, _reference_blocks(m))
+                elif op in ("union", "intersection"):
+                    other, other_ref = data.draw(st.sampled_from(pool))
+                    part = getattr(part, op)(other)
+                    ref = getattr(ref, op)(other_ref)
+                elif op == "remove_var":
+                    v = data.draw(var)
+                    part, ref = part.remove_var(v), ref.remove_var(v)
+                else:
+                    vs = data.draw(st.lists(st.integers(-1, n), max_size=4))
+                    part = part.merge_blocks_containing(vs)
+                    ref = ref.merge_blocks_containing(vs)
+                self._agree(part, ref)
+                pool.append((part, ref))
+            for (a, a_ref), (b, b_ref) in zip(pool, reversed(pool)):
+                assert a.overapproximates(b) == a_ref.overapproximates(b_ref)
+                assert (a == b) == (a.canonical() == b.canonical())

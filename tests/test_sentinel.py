@@ -7,6 +7,7 @@ from repro.analysis.analyzer import Analyzer
 from repro.core import stats
 from repro.core.constraints import OctConstraint
 from repro.core.octagon import Octagon
+from repro.core.partition import Partition
 from repro.core.sentinel import (
     check,
     paranoid_enabled,
@@ -115,6 +116,22 @@ class TestCorruptionDetection:
         with pytest.raises(IntegrityError) as exc_info:
             validate_octagon(oct_)
         assert exc_info.value.check == "closed"
+
+    def test_unary_bounds_in_two_blocks_caught(self):
+        # x0 <= 1 and x1 <= 1 with no strengthened x0 + x1 cell, so the
+        # exact partition is {x0}, {x1}; claiming "closed" breaks the
+        # one-block invariant of closed octagons' unary variables.
+        m = np.full((4, 4), np.inf)
+        np.fill_diagonal(m, 0.0)
+        m[1, 0] = m[3, 2] = 2.0
+        oct_ = Octagon(2, m, Partition(2, [[0], [1]]), 6, closed=True)
+        with pytest.raises(IntegrityError) as exc_info:
+            validate_octagon(oct_)
+        assert exc_info.value.check == "unary-block"
+        oct_.partition = Partition.single_block(2)
+        with pytest.raises(IntegrityError) as exc_info:
+            validate_octagon(oct_)
+        assert exc_info.value.check == "strengthen"
 
     def test_integrity_error_names_invariant(self):
         broken = _chain()
